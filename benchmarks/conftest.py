@@ -86,42 +86,14 @@ def _collect_obs_metrics(recorder: "obs.Recorder") -> None:
 
 
 def _measure_parallel() -> dict:
-    """Time serial vs pooled DSE and cold vs warm cached synthesis.
+    """Time cold vs warm cached synthesis of the crane case study.
 
-    The DSE numbers depend on host core count (recorded alongside); the
-    cache numbers compare a full flow run against a pickle-bytes hit.
+    Compares a full flow run against a pickle-bytes hit of the
+    content-addressed synthesis cache.
     """
-    from repro.apps import crane, synthetic
-    from repro.core import TaskGraph, synthesize
-    from repro.dse.explore import candidate_sort_key, exhaustive_explore
+    from repro.apps import crane
+    from repro.core import synthesize
     from repro.parallel import cache
-
-    keep = set(synthetic.THREADS[:8])  # Bell(8) = 4140 partitions
-    full = synthetic.task_graph()
-    graph = TaskGraph()
-    for name in sorted(keep):
-        graph.add_node(name, full.node_weights[name])
-    for (src, dst), weight in full.edges.items():
-        if src in keep and dst in keep:
-            graph.add_edge(src, dst, weight)
-
-    from repro.parallel.pool import resolve_workers
-
-    start = time.perf_counter()
-    serial = exhaustive_explore(graph, workers=1)
-    serial_s = time.perf_counter() - start
-    # resolve_workers clamps the request to the host's core count (and
-    # falls back to the serial path on 1-core hosts), so the measured
-    # "speedup" reflects a configuration the pool would actually use —
-    # never the pathological 4-forks-on-1-core case.
-    requested_workers = 4
-    resolved_workers = resolve_workers(requested_workers)
-    start = time.perf_counter()
-    pooled = exhaustive_explore(graph, workers=requested_workers)
-    parallel_s = time.perf_counter() - start
-    identical = [candidate_sort_key(c) for c in serial] == [
-        candidate_sort_key(c) for c in pooled
-    ]
 
     state = cache.snapshot()
     try:
@@ -142,14 +114,6 @@ def _measure_parallel() -> dict:
 
     return {
         "cpu_count": os.cpu_count(),
-        "dse_graph_threads": len(keep),
-        "dse_candidates": len(serial),
-        "dse_serial_s": serial_s,
-        "dse_workers_requested": requested_workers,
-        "dse_workers_resolved": resolved_workers,
-        "dse_workers4_s": parallel_s,
-        "dse_parallel_speedup": serial_s / parallel_s if parallel_s else None,
-        "dse_outputs_identical": identical,
         "synthesize_cold_s": cold_s,
         "synthesize_warm_s": warm_s,
         "cache_speedup": cold_s / warm_s if warm_s else None,
@@ -640,8 +604,8 @@ def pytest_sessionfinish(session, exitstatus):
         "synthesize_crane_s": total("bench.synthesize.crane"),
         "synthesize_mjpeg_s": total("bench.synthesize.mjpeg"),
         "parallel": parallel_stats,
-        "server": server_stats,
-        # Hoisted for tools/validate_trace.py --bench and the ROADMAP's
+        "server": {k: v for k, v in server_stats.items() if k != "slo"},
+        # Top level for tools/validate_trace.py --bench and the ROADMAP's
         # SLO trajectory: declared targets vs observed percentiles per
         # benchmarked queue depth.
         "slo": server_stats.get("slo", {}),

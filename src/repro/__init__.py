@@ -40,8 +40,8 @@ Packages
 - :mod:`repro.transform` — rule engine, trace links, templates;
 - :mod:`repro.obs` — observability: span tracing, metrics, Chrome-trace
   export (disabled by default, zero overhead);
-- :mod:`repro.parallel` — process-pool DSE evaluation and the
-  content-addressed synthesis cache (results identical to serial/cold);
+- :mod:`repro.parallel` — the content-addressed synthesis cache
+  (results identical to a cold run);
 - :mod:`repro.apps` — the paper's case studies.
 """
 

@@ -12,7 +12,7 @@ tool exports) and drives every stage of the flow:
     repro allocate crane.xmi            # task graph + linear clustering
     repro synthesize crane.xmi -o crane.mdl --summary
     repro codegen crane.xmi --backend java -o gen/
-    repro explore crane.xmi --max-cpus 4 --workers 4
+    repro explore crane.xmi --max-cpus 4 --objective throughput
     repro simulate crane.mdl --steps 10 --input In1=1,2,3
     repro serve --port 8321 --workers 2 --queue-depth 16
 
@@ -22,19 +22,16 @@ tool exports) and drives every stage of the flow:
 or Ctrl-C, then drains running jobs and journals queued specs — see
 ``docs/server.md``.
 
-Parallelism and caching (see ``docs/parallel.md``):
+Caching (see ``docs/parallel.md``):
 
 ::
 
-    repro explore crane.xmi --workers 4          # process-pool evaluation
     repro --cache-dir .repro-cache synthesize crane.xmi -o crane.mdl
     repro --no-cache synthesize crane.xmi -o crane.mdl
 
-``--workers`` (default: the ``REPRO_WORKERS`` environment variable)
-evaluates DSE candidates on a process pool with output identical to the
-serial path.  ``--cache-dir`` enables the content-addressed synthesis
-cache with an on-disk store, so re-synthesizing an unchanged model is a
-cache hit; ``--no-cache`` forces caching off even when ``REPRO_CACHE`` /
+``--cache-dir`` enables the content-addressed synthesis cache with an
+on-disk store, so re-synthesizing an unchanged model is a cache hit;
+``--no-cache`` forces caching off even when ``REPRO_CACHE`` /
 ``REPRO_CACHE_DIR`` is set.
 
 Observability flags (global, before the subcommand):
@@ -347,7 +344,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         graph,
         max_cpus=args.max_cpus,
         objective=args.objective,
-        workers=args.workers,
     )
     # Report cost through the metrics layer so this line and a
     # --metrics-out file can never disagree.
@@ -447,7 +443,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         job_timeout_s=args.job_timeout,
         retry=RetryPolicy(max_retries=args.max_retries),
-        dse_workers=args.dse_workers,
         journal_path=args.journal,
         # --slo-config (global or post-subcommand) was resolved into an
         # engine on the ambient recorder by main(); default targets
@@ -879,14 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("latency", "throughput"),
         help="optimize one-iteration latency or pipeline throughput",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        help=(
-            "evaluate candidates on N worker processes "
-            "(default: $REPRO_WORKERS, else serial; results identical)"
-        ),
-    )
     p.set_defaults(handler=_cmd_explore)
 
     p = sub.add_parser("simulate", help="execute a .mdl model")
@@ -951,15 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="retries for transiently failed jobs (exponential backoff)",
-    )
-    p.add_argument(
-        "--dse-workers",
-        type=int,
-        default=1,
-        help=(
-            "size of the shared DSE evaluation pool primed at startup "
-            "(1 = evaluate exploration jobs serially)"
-        ),
     )
     p.add_argument(
         "--journal",

@@ -53,14 +53,13 @@ class FlowError(Exception):
 class TransientFlowError(FlowError):
     """A failure caused by the execution substrate, not the model.
 
-    Worker-process crashes, cache/journal I/O errors, and similar
-    environmental hiccups raise (or are classified as) this; a retry with
-    fresh resources may well succeed.
+    Cache/journal I/O errors and similar environmental hiccups raise (or
+    are classified as) this; a retry with fresh resources may well succeed.
     """
 
 
 #: Exception types considered retry-worthy even when raised outside the
-#: flow proper (pool plumbing, cache I/O, interrupted syscalls).
+#: flow proper (cache and journal I/O, interrupted syscalls).
 _TRANSIENT_TYPES = (
     TransientFlowError,
     OSError,

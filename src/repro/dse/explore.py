@@ -31,12 +31,11 @@ Exploration output is a pure function of its inputs:
   never as a sort key or tie-breaker;
 - ties on ``(metric, cpu_count)`` are broken by the *content* of the plan
   (:func:`plan_signature`), so the published ordering is identical across
-  runs, processes, and worker counts;
-- with ``workers=N`` (or ``REPRO_WORKERS=N``) candidates are evaluated by
-  the :class:`repro.parallel.pool.EvaluationPool` process pool; results
-  merge in submission order and every value is computed by the same pure
-  function (:func:`evaluate_clusters`) the serial path uses, so the
-  returned list is byte-identical to a ``workers=1`` run.
+  runs and processes;
+- every candidate is evaluated in-process; from :data:`DSE_BATCH_MIN`
+  pending candidates on, the vectorized
+  :func:`repro.dse.estimate.estimate_allocations` replaces the
+  per-candidate loop, bit-identically.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import os
 import time
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -180,26 +178,6 @@ def _set_partitions(items: Sequence[str]) -> Iterator[List[List[str]]]:
     yield from grow(1, [[items[0]]])
 
 
-def evaluate_clusters(
-    graph: TaskGraph,
-    clusters: Sequence[Sequence[str]],
-    platform: Optional[Platform],
-    cycles_per_unit: float,
-    objective: str = "latency",
-) -> Candidate:
-    """Evaluate one clustering into a :class:`Candidate` (pure function).
-
-    This is the single evaluation kernel shared by the serial explorers
-    and the :class:`repro.parallel.pool.EvaluationPool` workers — one code
-    path means parallel results are bit-identical to serial ones.
-    """
-    plan = plan_from_clusters(clusters)
-    estimate = estimate_allocation(
-        graph, plan, platform, cycles_per_unit=cycles_per_unit
-    )
-    return Candidate(plan=plan, estimate=estimate, objective=objective)
-
-
 def _evaluate(
     graph: TaskGraph,
     clusters: Sequence[Sequence[str]],
@@ -207,7 +185,7 @@ def _evaluate(
     cycles_per_unit: float,
     objective: str = "latency",
 ) -> Candidate:
-    """Serial evaluation wrapper feeding the observability layer.
+    """Evaluate one clustering into a :class:`Candidate`.
 
     The clock here only produces the ``dse.evaluate`` timer — it never
     influences the candidate or its ranking.
@@ -215,9 +193,11 @@ def _evaluate(
     rec = _obs.get()
     if rec.enabled:
         start = time.perf_counter()
-    candidate = evaluate_clusters(
-        graph, clusters, platform, cycles_per_unit, objective
+    plan = plan_from_clusters(clusters)
+    estimate = estimate_allocation(
+        graph, plan, platform, cycles_per_unit=cycles_per_unit
     )
+    candidate = Candidate(plan=plan, estimate=estimate, objective=objective)
     if rec.enabled:
         rec.observe("dse.evaluate", time.perf_counter() - start)
         rec.incr("dse.candidates")
@@ -272,76 +252,25 @@ def _evaluate_many(
     platform: Optional[Platform],
     cycles_per_unit: float,
     objective: str,
-    pool: Optional[object] = None,
-    memo: Optional[Dict[Tuple[Tuple[str, ...], ...], Candidate]] = None,
+    memo: Dict[Tuple[Tuple[str, ...], ...], Candidate],
 ) -> List[Candidate]:
     """Evaluate many clusterings, preserving input order.
 
     ``memo`` short-circuits clusterings already evaluated (keyed by
     :func:`clusters_signature` — greedy's neighbourhoods overlap heavily
-    between iterations); ``pool`` evaluates cache misses in worker
-    processes when there are enough of them to amortize the dispatch.
-    Either way, the returned list is what serial evaluation would produce.
+    between iterations) and duplicates within ``variants``, so the
+    returned list is what evaluating every clustering would produce.
     """
-    results: List[Optional[Candidate]] = [None] * len(variants)
-    pending: List[int] = []
-    first_of: Dict[Tuple[Tuple[str, ...], ...], int] = {}
-    keys: List[Optional[Tuple[Tuple[str, ...], ...]]] = [None] * len(variants)
-    for index, clusters in enumerate(variants):
-        if memo is None:
-            pending.append(index)
-            continue
-        key = clusters_signature(clusters)
-        keys[index] = key
-        cached = memo.get(key)
-        if cached is not None:
-            results[index] = cached
-        elif key in first_of:
-            pass  # duplicate within this batch; filled from the first copy
-        else:
-            first_of[key] = index
-            pending.append(index)
-
-    use_pool = pool is not None and len(pending) > getattr(pool, "workers", 1)
-    if use_pool:
-        evaluated = pool.evaluate([variants[i] for i in pending])  # type: ignore[union-attr]
-    else:
-        evaluated = _evaluate_serial(
-            graph,
-            [variants[i] for i in pending],
-            platform,
-            cycles_per_unit,
-            objective,
-        )
-    for index, candidate in zip(pending, evaluated):
-        results[index] = candidate
-        if memo is not None:
-            memo[keys[index]] = candidate  # type: ignore[index]
-    if memo is not None:
-        for index, key in enumerate(keys):
-            if results[index] is None:
-                results[index] = memo[key]  # type: ignore[index]
-    return results  # type: ignore[return-value]
-
-
-def _make_pool(
-    graph: TaskGraph,
-    workers: int,
-    platform: Optional[Platform],
-    cycles_per_unit: float,
-    objective: str,
-    batch_size: Optional[int],
-):
-    from ..parallel.pool import EvaluationPool
-
-    return EvaluationPool(
-        graph,
-        workers=workers,
-        platform=platform,
-        cycles_per_unit=cycles_per_unit,
-        objective=objective,
-        batch_size=batch_size,
+    keys = [clusters_signature(clusters) for clusters in variants]
+    pending: Dict[Tuple[Tuple[str, ...], ...], List[List[str]]] = {}
+    for key, clusters in zip(keys, variants):
+        if key not in memo and key not in pending:
+            pending[key] = clusters
+    evaluated = _evaluate_serial(
+        graph, list(pending.values()), platform, cycles_per_unit, objective
     )
+    memo.update(zip(pending, evaluated))
+    return [memo[key] for key in keys]
 
 
 def exhaustive_explore(
@@ -352,25 +281,14 @@ def exhaustive_explore(
     cycles_per_unit: float = 50.0,
     limit_threads: int = 10,
     objective: str = "latency",
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    pool: Optional[object] = None,
 ) -> List[Candidate]:
     """Evaluate every set partition of the threads (small systems only).
 
     Returns all candidates sorted by (objective metric, cpu_count, plan
     content).  ``objective``: ``"latency"`` minimizes one-iteration
     makespan, ``"throughput"`` minimizes the steady-state initiation
-    interval (the right goal for streaming pipelines).  ``workers`` > 1
-    evaluates candidates on a process pool (default: ``REPRO_WORKERS``,
-    else serial) with output guaranteed identical to the serial path.
-    ``pool`` supplies an externally owned evaluator instead — e.g. a
-    :meth:`repro.parallel.pool.SharedEvaluationPool.bind` view, which the
-    batch server primes once and reuses across jobs; it is never closed
-    here.
+    interval (the right goal for streaming pipelines).
     """
-    from ..parallel.pool import resolve_workers
-
     threads = sorted(graph.node_weights)
     if len(threads) > limit_threads:
         raise ExplorationError(
@@ -382,23 +300,9 @@ def exhaustive_explore(
         for clusters in _set_partitions(threads)
         if max_cpus is None or len(clusters) <= max_cpus
     ]
-    effective_workers = resolve_workers(workers)
-    if pool is not None and len(partitions) > getattr(pool, "workers", 1):
-        candidates = pool.evaluate(partitions)  # type: ignore[attr-defined]
-    elif effective_workers > 1 and len(partitions) > effective_workers:
-        with _make_pool(
-            graph,
-            effective_workers,
-            platform,
-            cycles_per_unit,
-            objective,
-            batch_size,
-        ) as owned:
-            candidates = owned.evaluate(partitions)
-    else:
-        candidates = _evaluate_serial(
-            graph, partitions, platform, cycles_per_unit, objective
-        )
+    candidates = _evaluate_serial(
+        graph, partitions, platform, cycles_per_unit, objective
+    )
     candidates.sort(key=candidate_sort_key)
     return candidates
 
@@ -411,9 +315,6 @@ def greedy_explore(
     cycles_per_unit: float = 50.0,
     max_iterations: int = 200,
     objective: str = "latency",
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    pool: Optional[object] = None,
 ) -> List[Candidate]:
     """Hill-climb from the linear-clustering seed.
 
@@ -421,14 +322,9 @@ def greedy_explore(
     clusters.  Accepts a move when it strictly improves (makespan,
     cpu_count) lexicographically.  Returns the visited local optima plus
     the seed, best-first.  Re-visited clusterings are served from an
-    evaluation memo (neighbourhoods overlap between iterations), and with
-    ``workers`` > 1 each iteration's neighbourhood is evaluated on a
-    process pool — neither changes any result.  An externally owned
-    ``pool`` (see :func:`exhaustive_explore`) takes precedence over
-    ``workers`` and is never closed here.
+    evaluation memo (neighbourhoods overlap between iterations), which
+    never changes any result.
     """
-    from ..parallel.pool import resolve_workers
-
     seed_clusters = [
         list(c) for c in linear_clustering(graph).clusters
     ]
@@ -447,46 +343,25 @@ def greedy_explore(
     visited.append(current)
     clusters = [list(c) for c in seed_clusters]
 
-    effective_workers = resolve_workers(workers)
-    owned_pool = None
-    try:
-        if pool is None and effective_workers > 1:
-            pool = owned_pool = _make_pool(
-                graph,
-                effective_workers,
-                platform,
-                cycles_per_unit,
-                objective,
-                batch_size,
-            )
-        for _ in range(max_iterations):
-            variants = list(_neighbourhood(clusters, max_cpus))
-            evaluated = _evaluate_many(
-                graph,
-                variants,
-                platform,
-                cycles_per_unit,
-                objective,
-                pool=pool,
-                memo=memo,
-            )
-            best_move: Optional[Tuple[List[List[str]], Candidate]] = None
-            current_key = (current.metric, current.cpu_count)
-            for variant, candidate in zip(variants, evaluated):
-                key = (candidate.metric, candidate.cpu_count)
-                if key < current_key and (
-                    best_move is None
-                    or key < (best_move[1].metric, best_move[1].cpu_count)
-                ):
-                    best_move = (variant, candidate)
-            if best_move is None:
-                break
-            clusters = [list(c) for c in best_move[0]]
-            current = best_move[1]
-            visited.append(current)
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
+    for _ in range(max_iterations):
+        variants = list(_neighbourhood(clusters, max_cpus))
+        evaluated = _evaluate_many(
+            graph, variants, platform, cycles_per_unit, objective, memo=memo
+        )
+        best_move: Optional[Tuple[List[List[str]], Candidate]] = None
+        current_key = (current.metric, current.cpu_count)
+        for variant, candidate in zip(variants, evaluated):
+            key = (candidate.metric, candidate.cpu_count)
+            if key < current_key and (
+                best_move is None
+                or key < (best_move[1].metric, best_move[1].cpu_count)
+            ):
+                best_move = (variant, candidate)
+        if best_move is None:
+            break
+        clusters = [list(c) for c in best_move[0]]
+        current = best_move[1]
+        visited.append(current)
 
     visited.sort(key=candidate_sort_key)
     return visited
@@ -564,8 +439,6 @@ def explore(
     platform: Optional[Platform] = None,
     cycles_per_unit: float = 50.0,
     objective: str = "latency",
-    workers: Optional[int] = None,
-    pool: Optional[object] = None,
 ) -> List[Candidate]:
     """Front door: exhaustive when small, greedy otherwise."""
     rec = _obs.get()
@@ -585,8 +458,6 @@ def explore(
                 platform=platform,
                 cycles_per_unit=cycles_per_unit,
                 objective=objective,
-                workers=workers,
-                pool=pool,
             )
         else:
             candidates = greedy_explore(
@@ -595,8 +466,6 @@ def explore(
                 platform=platform,
                 cycles_per_unit=cycles_per_unit,
                 objective=objective,
-                workers=workers,
-                pool=pool,
             )
         span.set(candidates=len(candidates))
     return candidates

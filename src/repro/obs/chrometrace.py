@@ -8,9 +8,7 @@ Perfetto timeline starting at zero.
 
 Spans opened by different threads (the batch server's job workers) land
 on distinct ``tid`` lanes — numbered in order of first appearance, so
-documents stay deterministic for a given span list — while retroactively
-recorded spans (pool worker windows measured in another process) share
-the lane of the thread that materialized them.  Cross-thread parentage
+documents stay deterministic for a given span list.  Cross-thread parentage
 survives regardless of lanes via the ``args.parent_id`` links, which is
 what :func:`tools.validate_trace.validate_span_tree` walks.
 """

@@ -19,7 +19,7 @@ span a thread opened last becomes the parent of the next span *that
 thread* opens, which is exactly the call-tree shape the Chrome-trace
 exporter needs.  Concurrent threads (the batch server's job workers)
 each carry their own context, so their spans never cross-link by
-accident; explicit stitching across threads and processes uses
+accident; explicit stitching across threads uses
 ``parent_id=`` overrides, :meth:`Recorder.attach`, and the
 :meth:`Recorder.open_span` / :meth:`Recorder.close_span` pair (a span
 opened on one thread and closed from another).  Every closed span also
@@ -61,7 +61,7 @@ class Span:
     end_cpu: Optional[float] = None
     error: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-    #: Ident of the thread that opened the span (0 = retroactive record).
+    #: Ident of the thread that opened the span (0 = unknown).
     thread_id: int = 0
 
     @property
@@ -189,18 +189,6 @@ class NullRecorder:
         """Return the shared no-op context manager."""
         return _NULL_SPAN
 
-    def record_span(
-        self,
-        name: str,
-        start_wall: float,
-        end_wall: float,
-        *,
-        category: str = "",
-        cpu_seconds: float = 0.0,
-        **attrs: Any,
-    ) -> None:
-        """No-op."""
-
 
 NULL = NullRecorder()
 
@@ -259,7 +247,7 @@ class Recorder:
 
         This is the cross-thread stitching primitive: a server worker
         thread attaches the job's root span id before executing, so every
-        span the execution opens (flow passes, pool worker windows)
+        span the execution opens (flow passes, DSE exploration)
         parents into the job's tree instead of starting an orphan root.
         """
         stack = self._stack()
@@ -278,7 +266,6 @@ class Recorder:
         start_wall: float,
         start_cpu: float,
         attrs: Dict[str, Any],
-        thread_id: int,
     ) -> Span:
         if parent_id is _INHERIT:
             parent_id = self.current_span_id()
@@ -290,7 +277,7 @@ class Recorder:
             start_wall=start_wall,
             start_cpu=start_cpu,
             attrs=attrs,
-            thread_id=thread_id,
+            thread_id=threading.get_ident(),
         )
         with self._lock:
             span.id = self._next_id
@@ -320,7 +307,6 @@ class Recorder:
             time.time(),
             time.process_time(),
             dict(attrs),
-            threading.get_ident(),
         )
         self._stack().append(span.id)
         return _SpanHandle(self, span)
@@ -363,7 +349,6 @@ class Recorder:
             start_wall if start_wall is not None else time.time(),
             0.0,
             dict(attrs),
-            threading.get_ident(),
         )
 
     def close_span(
@@ -382,35 +367,6 @@ class Recorder:
             span.error = error
         span.attrs.update(attrs)
         self.metrics.observe(span.name, span.duration)
-
-    def record_span(
-        self,
-        name: str,
-        start_wall: float,
-        end_wall: float,
-        *,
-        category: str = "",
-        cpu_seconds: float = 0.0,
-        parent_id: Any = _INHERIT,
-        **attrs: Any,
-    ) -> Span:
-        """Record an already-finished span with externally measured times.
-
-        This is how work performed outside the recorder's process — e.g. a
-        worker of the :mod:`repro.parallel` evaluation pool — lands in the
-        trace: the worker measures its own wall window and the parent
-        retroactively materializes a closed span from it.  The span nests
-        under the calling thread's currently open span (or an explicit
-        ``parent_id``) and feeds the metrics timer exactly like a
-        context-manager span.
-        """
-        span = self._new_span(
-            name, category, parent_id, start_wall, 0.0, dict(attrs), 0
-        )
-        span.end_wall = end_wall
-        span.end_cpu = cpu_seconds
-        self.metrics.observe(name, span.duration)
-        return span
 
     # -- metrics passthrough ----------------------------------------------
     def incr(self, name: str, amount: float = 1.0) -> None:

@@ -30,10 +30,9 @@ class ObservabilityReport:
     spans: List[Span] = field(default_factory=list)
     #: Metrics registry snapshot (empty when obs is disabled).
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Parallel-execution substrate data (see :mod:`repro.parallel`): the
-    #: synthesis-cache verdict for this run (``status`` is ``"hit"``,
-    #: ``"miss"`` or ``"bypass"``) and, when the run drove the evaluation
-    #: pool, worker/batch counts.  Empty when neither was involved.
+    #: Synthesis-cache data (see :mod:`repro.parallel`): the cache
+    #: verdict for this run (``status`` is ``"hit"``, ``"miss"`` or
+    #: ``"bypass"``).  Empty when the cache was not involved.
     parallel: Dict[str, Any] = field(default_factory=dict)
     #: SLO evaluation document (see :mod:`repro.obs.slo`): attainment,
     #: error-budget remainder and burn rate per declared objective.

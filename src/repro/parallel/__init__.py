@@ -1,32 +1,14 @@
-"""Parallel execution substrate: process-pool DSE + content-addressed cache.
+"""Content-addressed synthesis cache and the structural fingerprints it keys on.
 
-Two orthogonal accelerators for the synthesis flow and the design-space
-explorer, built so that turning them on **never changes results**:
+:mod:`repro.parallel.cache` holds :class:`ContentCache`, an in-memory LRU
+of pickled results with an optional on-disk store, keyed by the
+structural fingerprints of :mod:`repro.parallel.fingerprint`.
+:func:`repro.core.flow.synthesize` consults the process-wide synthesis
+cache configured here (opt-in: :func:`configure_synthesis_cache`,
+``REPRO_CACHE=1`` / ``REPRO_CACHE_DIR``, or the CLI ``--cache-dir``); a
+cache hit is byte-identical to a cold run.
 
-- :mod:`repro.parallel.pool` — :class:`EvaluationPool` evaluates DSE
-  allocation candidates in worker processes; results merge in submission
-  order and are byte-identical to a serial run (the explorers'
-  ``workers=N`` parameter and the ``REPRO_WORKERS`` environment variable
-  route through it);
-- :mod:`repro.parallel.cache` — :class:`ContentCache`, an in-memory LRU
-  of pickled results with an optional on-disk store, keyed by the
-  structural fingerprints of :mod:`repro.parallel.fingerprint`;
-  :func:`repro.core.flow.synthesize` consults the process-wide synthesis
-  cache configured here (opt-in: :func:`configure_synthesis_cache`,
-  ``REPRO_CACHE=1`` / ``REPRO_CACHE_DIR``, or the CLI ``--cache-dir``).
-
-See ``docs/parallel.md`` for the worker model, cache-key semantics, and
-invalidation caveats.
-
-The evaluation pool lives in :mod:`repro.parallel.pool` and is imported
-lazily by the explorers (it pulls in :mod:`repro.dse`); import it
-directly::
-
-    from repro.parallel.pool import EvaluationPool, resolve_workers
-
-The batch server (:mod:`repro.server`) uses the graph-agnostic
-:class:`repro.parallel.pool.SharedEvaluationPool` instead: forked once
-per server, reused across jobs, cancellable mid-evaluation.
+See ``docs/parallel.md`` for cache-key semantics and invalidation caveats.
 """
 
 from .cache import (

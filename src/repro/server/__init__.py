@@ -16,9 +16,6 @@ observable service:
   journal of unfinished specs (:mod:`.journal`);
 - :mod:`.executor` — runs specs through the *same* front doors a library
   user calls, so served artifacts are byte-identical to library ones;
-  exploration jobs share one
-  :class:`repro.parallel.pool.SharedEvaluationPool` primed at server
-  start, not per request;
 - :mod:`.http` — a stdlib-only JSON API (``POST /jobs``,
   ``GET /jobs/<id>``, ``GET /jobs/<id>/artifact``, ``GET /healthz``,
   ``GET /metrics``) behind ``repro serve``.
@@ -30,7 +27,7 @@ Minimal embedded use::
     manager = JobManager(workers=2, queue_depth=8).start()
     job = manager.submit(JobSpec(kind="synthesize", demo="crane"))
     ...
-    manager.shutdown()          # drains, journals, reaps the pool
+    manager.shutdown()          # drains, journals the backlog
 
 See ``docs/server.md`` for the full API reference and semantics.
 """

@@ -6,13 +6,14 @@ here calls the exact same front doors a library user would
 so an artifact produced through the server is byte-identical to one
 produced directly — the differential tests in ``tests/server/`` pin this
 down.  The synthesis cache engages exactly as it would for a library
-call (process-wide configuration, ``use_cache`` override per spec), and
-exploration jobs evaluate on the server's shared worker pool when one is
-provided.
+call (process-wide configuration, ``use_cache`` override per spec).
 
 Cancellation is cooperative: the ``cancelled`` hook is checked between
-the coarse stages here and polled continuously inside pool evaluation;
-when it fires, :class:`JobCancelled` aborts the job.
+the coarse stages here — an explore job checks it before and after
+exploration, never inside it — and when it fires, :class:`JobCancelled`
+aborts the job.  A job that overruns its deadline mid-stage is still
+marked ``timed_out`` by the manager's monitor, which discards the late
+result.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _run_synthesize(
 
 
 def _run_explore(
-    spec: JobSpec, model: Model, cancelled: CancelHook, pool: Optional[object]
+    spec: JobSpec, model: Model, cancelled: CancelHook
 ) -> JobOutcome:
     from ..dse.explore import explore, pareto_front
 
@@ -99,21 +100,12 @@ def _run_explore(
     _checkpoint(cancelled)
     options = dict(spec.options)
     objective = options.get("objective", "latency")
-    bound = None
-    if pool is not None:
-        bound = pool.bind(  # type: ignore[attr-defined]
-            graph,
-            cycles_per_unit=options.get("cycles_per_unit", 50.0),
-            objective=objective,
-            cancelled=cancelled,
-        )
     candidates = explore(
         graph,
         max_cpus=options.get("max_cpus"),
         objective=objective,
         exhaustive_threshold=options.get("exhaustive_threshold", 8),
         cycles_per_unit=options.get("cycles_per_unit", 50.0),
-        pool=bound,
     )
     _checkpoint(cancelled)
     front = pareto_front(candidates, objective=objective)
@@ -343,12 +335,7 @@ def _run_codegen(
     )
 
 
-def execute(
-    spec: JobSpec,
-    *,
-    cancelled: CancelHook = None,
-    pool: Optional[object] = None,
-) -> JobOutcome:
+def execute(spec: JobSpec, *, cancelled: CancelHook = None) -> JobOutcome:
     """Run one job spec to completion (the manager's default executor)."""
     _checkpoint(cancelled)
     model = build_model(spec)
@@ -361,4 +348,4 @@ def execute(
         return _run_analyze(spec, model, cancelled)
     if spec.kind == "codegen":
         return _run_codegen(spec, model, cancelled)
-    return _run_explore(spec, model, cancelled, pool)
+    return _run_explore(spec, model, cancelled)

@@ -17,7 +17,7 @@ One :class:`JobManager` is the entire serving brain; the HTTP layer in
   re-admitted with exponential backoff + jitter; deterministic
   :class:`~repro.core.flow.FlowError`\\ s fail immediately;
 - **graceful shutdown** — :meth:`shutdown` stops admission, lets running
-  jobs drain, journals the still-queued specs, and reaps the worker pool.
+  jobs drain and journals the still-queued specs.
 
 Everything the manager does is measured through :mod:`repro.obs` under
 the ``server.*`` key family (queue-depth/inflight gauges, per-state and
@@ -28,7 +28,7 @@ writes and ``GET /metrics`` serves.  Traces stitch: each job gets one
 at admission, closed from whichever thread finalizes the job), each
 execution attempt opens a ``server.job.attempt`` child on the worker
 thread, and the executor runs with that attempt attached as the
-thread's span context — so flow passes and DSE pool worker windows all
+thread's span context — so flow passes and DSE exploration spans all
 land in the job's subtree instead of starting orphan roots.  Worker log
 records carry ``job_id`` via :func:`repro.obs.log_fields`.
 
@@ -51,7 +51,6 @@ from .. import obs
 from ..obs import recorder as _obs
 from ..obs.logsetup import log_fields
 from ..obs.slo import RISK_LEVELS, SloEngine, default_server_targets
-from ..parallel.pool import PoolCancelled, SharedEvaluationPool
 from .executor import JobCancelled, execute
 from .jobs import Job, JobOutcome, JobSpec, JobState
 from .journal import consume_journal, write_journal
@@ -93,7 +92,6 @@ class JobManager:
         queue_depth: int = 16,
         job_timeout_s: float = 60.0,
         retry: Optional[RetryPolicy] = None,
-        dse_workers: int = 1,
         journal_path: Optional[str] = None,
         executor: Optional[Executor] = None,
         recorder: Optional["_obs.AnyRecorder"] = None,
@@ -107,7 +105,6 @@ class JobManager:
         self.queue_depth = queue_depth
         self.job_timeout_s = job_timeout_s
         self.retry = retry or RetryPolicy()
-        self.dse_workers = dse_workers
         self.journal_path = journal_path
         self._executor: Executor = executor or execute
         # A live registry even outside any obs.use() scope, so /metrics
@@ -132,7 +129,6 @@ class JobManager:
         self._running: Dict[str, Job] = {}
         self._threads: List[threading.Thread] = []
         self._monitor: Optional[threading.Thread] = None
-        self._pool: Optional[SharedEvaluationPool] = None
         self._accepting = False
         self._stopping = False
         self._started_at: Optional[float] = None
@@ -141,15 +137,13 @@ class JobManager:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "JobManager":
-        """Spawn workers (+ the shared DSE pool), replay any journal."""
+        """Spawn workers, replay any journal."""
         with self._lock:
             if self._threads:
                 return self
             self._accepting = True
             self._stopping = False
             self._started_at = time.time()
-        if self.dse_workers >= 2:
-            self._pool = SharedEvaluationPool(self.dse_workers)
         if self.journal_path:
             for spec in consume_journal(self.journal_path):
                 job = self._admit(spec, enforce_depth=False)
@@ -220,9 +214,6 @@ class JobManager:
                     journaled,
                     self.journal_path,
                 )
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         self._metrics_snapshot()
         # Final SLO evaluation so --metrics-out written after shutdown
         # carries the session's closing slo.* gauges.
@@ -298,7 +289,6 @@ class JobManager:
                 "running": len(self._running),
                 "jobs": states,
                 "recovered_from_journal": self._recovered,
-                "dse_workers": self.dse_workers,
                 "slo_risk": self._last_slo_risk(),
             }
 
@@ -414,9 +404,7 @@ class JobManager:
                     job=job.id,
                     attempt=job.attempts,
                 ):
-                    outcome = self._executor(
-                        job.spec, cancelled=cancelled, pool=self._pool
-                    )
+                    outcome = self._executor(job.spec, cancelled=cancelled)
         except BaseException as exc:  # noqa: BLE001 — full fault barrier
             self._complete(job, error=exc)
         else:
@@ -444,7 +432,7 @@ class JobManager:
                 job.finished_at = now
                 self._finalize_metrics(job)
                 final = JobState.DONE
-            elif isinstance(error, (JobCancelled, PoolCancelled)):
+            elif isinstance(error, JobCancelled):
                 job.advance(JobState.CANCELLED)
                 job.finished_at = now
                 self._finalize_metrics(job)

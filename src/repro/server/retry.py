@@ -4,13 +4,13 @@ The classification side leans on the error taxonomy of
 :mod:`repro.core.flow`: a deterministic :class:`~repro.core.flow.FlowError`
 (a bad model, an impossible allocation, a strict-mode escalation) will
 fail identically on every attempt and is **never** retried; substrate
-failures — a crashed worker process, a cache I/O error, a
+failures — a cache or journal I/O error, a
 :class:`~repro.core.flow.TransientFlowError` — are retried up to
 ``max_retries`` times with exponentially growing, jittered delays.
 
 Jitter exists to de-synchronize retry storms when many jobs fail at once
-(e.g. a pool respawn); tests that need determinism construct the policy
-with ``jitter=0``.
+(e.g. a shared cache directory going away); tests that need determinism
+construct the policy with ``jitter=0``.
 """
 
 from __future__ import annotations

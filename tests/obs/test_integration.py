@@ -122,7 +122,7 @@ class TestSimulatorMetrics:
 
 
 class TestParallelObservability:
-    """Cache hit/miss counters and worker spans reach report + trace."""
+    """Cache hit/miss counters reach the report and the metrics registry."""
 
     @pytest.fixture()
     def scoped_cache(self):
@@ -132,51 +132,6 @@ class TestParallelObservability:
         cache.configure(enabled=True)
         yield cache
         cache.restore(state)
-
-    def _graph(self):
-        from repro.core.taskgraph import TaskGraph
-
-        graph = TaskGraph()
-        for i, weight in enumerate([4.0, 2.0, 3.0, 1.0]):
-            graph.add_node(f"T{i}", weight)
-        graph.add_edge("T0", "T1", 64.0)
-        graph.add_edge("T1", "T2", 32.0)
-        graph.add_edge("T2", "T3", 96.0)
-        return graph
-
-    def test_worker_spans_and_counters_in_recorder(self):
-        from repro.dse.explore import exhaustive_explore
-
-        # Bell(4) = 15 partitions > 2 workers, so the pool engages.
-        with obs.use(obs.Recorder()) as rec:
-            candidates = exhaustive_explore(self._graph(), workers=2)
-        assert candidates
-        worker_spans = [s for s in rec.spans if s.name == "dse.worker"]
-        assert worker_spans
-        assert all(s.end_wall is not None for s in worker_spans)
-        assert all("worker_pid" in s.attrs for s in worker_spans)
-        counters = rec.metrics.to_dict()["counters"]
-        assert counters["dse.parallel.tasks"] == 15
-        assert counters["dse.parallel.batches"] == len(worker_spans)
-        assert counters["dse.candidates"] == 15
-        assert rec.metrics.gauge_value("dse.parallel.workers") == 2
-        # The serial metric family is still fed under parallelism.
-        assert rec.metrics.to_dict()["timers"]["dse.evaluate"]["count"] == 15
-
-    def test_worker_spans_exported_to_chrome_trace(self):
-        from repro.dse.explore import exhaustive_explore
-
-        with obs.use(obs.Recorder()) as rec:
-            exhaustive_explore(self._graph(), workers=2)
-        trace = obs.to_chrome_trace(rec.spans)
-        validate_trace(trace)
-        worker_events = [
-            e
-            for e in trace["traceEvents"]
-            if e["ph"] == "X" and e["name"] == "dse.worker"
-        ]
-        assert worker_events
-        assert all(e["dur"] >= 1 for e in worker_events)
 
     def test_cache_counters_in_report_and_metrics(self, scoped_cache):
         with obs.use(obs.Recorder()) as rec:

@@ -1,10 +1,9 @@
 """Cross-thread trace stitching: no orphan span roots.
 
-The differential contract: whatever executes the work — the serial DSE
-path, a 4-worker fork pool, or the server's job threads with retries —
-the exported Chrome trace must form a *single rooted span tree*: every
-worker/retry span carries a ``parent_id`` resolvable to another span in
-the same document.  ``tools/validate_trace.py --tree`` enforces exactly
+The differential contract: whatever executes the work — the DSE explorer
+or the server's job threads with retries — the exported Chrome trace
+must form a *single rooted span tree*: every worker/retry span carries a
+``parent_id`` resolvable to another span in the same document.  ``tools/validate_trace.py --tree`` enforces exactly
 this, so the tests call its validator directly.
 """
 
@@ -12,8 +11,6 @@ import os
 import random
 import sys
 import time
-
-import pytest
 
 from repro import obs
 from repro.core.flow import TransientFlowError
@@ -55,45 +52,22 @@ def outcome(name="crane"):
 
 
 class TestDseStitching:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_dse_trace_is_single_rooted_tree(self, workers, monkeypatch):
+    def test_dse_trace_is_single_rooted_tree(self):
         from repro.dse.explore import explore
 
-        # Exercise the real fork pool even on a 1-core CI host.
-        monkeypatch.setenv("REPRO_WORKERS_FORCE", "1")
         rec = obs.Recorder()
         with obs.use(rec):
-            explore(small_graph(), workers=workers)
+            explore(small_graph())
         document = obs.to_chrome_trace(rec.finished_spans())
         validate_trace(document)
         validate_span_tree(document)
-
-    def test_pool_worker_spans_reach_explore_root(self, monkeypatch):
-        from repro.dse.explore import explore
-
-        monkeypatch.setenv("REPRO_WORKERS_FORCE", "1")
-        rec = obs.Recorder()
-        with obs.use(rec):
-            explore(small_graph(), workers=4)
-        spans = rec.finished_spans()
-        workers = [s for s in spans if s.name == "dse.worker"]
-        assert workers, "pooled run recorded no dse.worker spans"
-        assert [s.name for s in spans if s.parent_id is None] == [
-            "dse.explore"
-        ]
-        by_id = {s.id: s for s in spans}
-        for span in workers:
-            node = span
-            while node.parent_id is not None:
-                node = by_id[node.parent_id]
-            assert node.name == "dse.explore"
 
 
 class TestServerStitching:
     def test_server_batch_with_retry_is_single_rooted_tree(self):
         attempts = {"n": 0}
 
-        def flaky(job_spec, *, cancelled=None, pool=None):
+        def flaky(job_spec, *, cancelled=None):
             attempts["n"] += 1
             if attempts["n"] == 1:
                 raise TransientFlowError("transient worker crash")
@@ -142,7 +116,7 @@ class TestServerStitching:
         with obs.use(rec):
             manager = JobManager(
                 workers=1,
-                executor=lambda s, cancelled=None, pool=None: outcome(),
+                executor=lambda s, cancelled=None: outcome(),
             ).start()
             try:
                 job = manager.submit(JobSpec(kind="synthesize", demo="crane"))
@@ -157,7 +131,7 @@ class TestServerStitching:
     def test_executor_spans_adopt_job_context(self):
         """Spans the executor opens parent into the job's attempt span."""
 
-        def traced(job_spec, *, cancelled=None, pool=None):
+        def traced(job_spec, *, cancelled=None):
             with obs.get().span("flow.fake", category="flow"):
                 pass
             return outcome()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import cache, pool
+from repro.parallel import cache
 
 
 @pytest.fixture(autouse=True)
@@ -20,15 +20,3 @@ def isolated_cache(monkeypatch):
     cache.configure(enabled=None, directory=None)
     yield
     cache.restore(state)
-
-
-@pytest.fixture(autouse=True)
-def force_pool_workers(monkeypatch):
-    """Disable the CPU-count worker clamp for the differential tests.
-
-    These tests exist to prove the *pool machinery* produces results
-    byte-identical to the serial path, so they must actually fork
-    workers even on a 1-core CI host where `resolve_workers` would
-    otherwise (correctly) collapse every request to serial.
-    """
-    monkeypatch.setenv(pool.WORKERS_FORCE_ENV, "1")

@@ -1,9 +1,11 @@
-"""Differential tests: parallel explorers must be bit-equal to serial ones.
+"""Differential tests: batched explorers must be bit-equal to scalar ones.
 
-The contract under test (docs/parallel.md): for any task graph, running an
-explorer with ``workers=N`` returns the *same candidate list in the same
-order* as ``workers=1`` — parallelism is an execution substrate, never an
-answer-changer.  A seeded RNG generates the graphs so failures replay.
+From :data:`repro.dse.explore.DSE_BATCH_MIN` candidates the explorers
+estimate a whole batch of plans at once (``estimate_allocations``); with
+``REPRO_DSE_BATCH=0`` they estimate one plan at a time.  The batch is an
+execution substrate, never an answer-changer: both paths return the *same
+candidate list in the same order*.  A seeded RNG generates the graphs so
+failures replay.
 """
 
 import random
@@ -11,16 +13,7 @@ import random
 import pytest
 
 from repro.core.taskgraph import TaskGraph
-from repro.dse.explore import (
-    exhaustive_explore,
-    explore,
-    greedy_explore,
-)
-from repro.parallel.pool import (
-    EvaluationPool,
-    batch_size_for,
-    resolve_workers,
-)
+from repro.dse.explore import exhaustive_explore, greedy_explore
 
 
 def canonical(candidate):
@@ -50,105 +43,24 @@ CASES = [(seed, 3 + seed % 6) for seed in range(6)]
 
 
 class TestExhaustiveDifferential:
-    @pytest.mark.parametrize("seed,threads", CASES)
-    def test_workers4_equals_serial(self, seed, threads):
-        graph = random_graph(random.Random(seed), threads)
-        serial = exhaustive_explore(graph, workers=1)
-        parallel = exhaustive_explore(graph, workers=4)
-        assert [canonical(c) for c in serial] == [
-            canonical(c) for c in parallel
-        ]
-
-    def test_objective_and_max_cpus_survive_parallelism(self):
+    def test_objective_and_max_cpus_survive_parallelism(self, monkeypatch):
         graph = random_graph(random.Random(99), 6)
-        serial = exhaustive_explore(
-            graph, workers=1, objective="throughput", max_cpus=3
-        )
-        parallel = exhaustive_explore(
-            graph, workers=4, objective="throughput", max_cpus=3
-        )
-        assert [canonical(c) for c in serial] == [
-            canonical(c) for c in parallel
+        batched = exhaustive_explore(graph, objective="throughput", max_cpus=3)
+        monkeypatch.setenv("REPRO_DSE_BATCH", "0")
+        scalar = exhaustive_explore(graph, objective="throughput", max_cpus=3)
+        assert [canonical(c) for c in batched] == [
+            canonical(c) for c in scalar
         ]
-        assert all(c.cpu_count <= 3 for c in parallel)
-
-    def test_small_task_counts_stay_serial_but_equal(self):
-        # Two threads → 2 partitions ≤ workers: the pool is skipped
-        # entirely, and the answer is still the same by construction.
-        graph = random_graph(random.Random(1), 2)
-        assert [canonical(c) for c in exhaustive_explore(graph, workers=8)] == [
-            canonical(c) for c in exhaustive_explore(graph, workers=1)
-        ]
+        # Partitions of 6 threads into ≤3 blocks: S(6,1)+S(6,2)+S(6,3).
+        assert len(batched) == 1 + 31 + 90
+        assert all(c.cpu_count <= 3 for c in batched)
+        assert all(c.objective == "throughput" for c in batched)
 
 
 class TestGreedyDifferential:
     @pytest.mark.parametrize("seed,threads", CASES)
-    def test_workers4_equals_serial(self, seed, threads):
-        graph = random_graph(random.Random(100 + seed), threads)
-        serial = greedy_explore(graph, workers=1)
-        parallel = greedy_explore(graph, workers=4)
-        assert [canonical(c) for c in serial] == [
-            canonical(c) for c in parallel
-        ]
-
-    @pytest.mark.parametrize("seed,threads", CASES)
     def test_greedy_never_beats_exhaustive_optimum(self, seed, threads):
         graph = random_graph(random.Random(200 + seed), threads)
-        optimum = exhaustive_explore(graph, workers=1)[0]
-        best_greedy = greedy_explore(graph, workers=4)[0]
+        optimum = exhaustive_explore(graph)[0]
+        best_greedy = greedy_explore(graph)[0]
         assert optimum.metric <= best_greedy.metric
-
-
-class TestFrontDoorDifferential:
-    def test_explore_workers_param_routes_through(self):
-        graph = random_graph(random.Random(7), 5)
-        assert [canonical(c) for c in explore(graph, workers=4)] == [
-            canonical(c) for c in explore(graph, workers=1)
-        ]
-
-
-class TestPoolMechanics:
-    def test_resolve_workers_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(2) == 2
-        assert resolve_workers(None) == 8
-
-    def test_resolve_workers_defaults_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert resolve_workers(None) == 1
-
-    def test_resolve_workers_clamps_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS_FORCE", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert resolve_workers(8) == 2
-        assert resolve_workers(1) == 1
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert resolve_workers(4) == 1
-        # cpu_count() may legitimately answer None: treat as 1 core.
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert resolve_workers(4) == 1
-
-    def test_resolve_workers_force_env_disables_clamp(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        monkeypatch.setenv("REPRO_WORKERS_FORCE", "1")
-        assert resolve_workers(4) == 4
-        monkeypatch.setenv("REPRO_WORKERS_FORCE", "0")
-        assert resolve_workers(4) == 1
-
-    def test_batch_size_targets_batches_per_worker(self):
-        assert batch_size_for(1000, 4) == 63
-        assert batch_size_for(3, 4) == 1
-
-    def test_pool_rejects_single_worker(self):
-        graph = random_graph(random.Random(3), 3)
-        with pytest.raises(ValueError):
-            EvaluationPool(graph, workers=1)
-
-    def test_pool_evaluates_empty_input(self):
-        graph = random_graph(random.Random(3), 3)
-        with EvaluationPool(graph, workers=2) as pool:
-            assert pool.evaluate([]) == []

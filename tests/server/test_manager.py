@@ -47,7 +47,7 @@ def ok_outcome(name="crane"):
     )
 
 
-def instant_executor(job_spec, *, cancelled=None, pool=None):
+def instant_executor(job_spec, *, cancelled=None):
     return ok_outcome()
 
 
@@ -58,7 +58,7 @@ class Gate:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self, job_spec, *, cancelled=None, pool=None):
+    def __call__(self, job_spec, *, cancelled=None):
         self.started.set()
         self.release.wait(timeout=10.0)
         return ok_outcome()
@@ -159,7 +159,7 @@ class TestAdmissionControl:
 
 class TestTimeout:
     def test_slow_job_times_out(self):
-        def slow(job_spec, *, cancelled=None, pool=None):
+        def slow(job_spec, *, cancelled=None):
             # Cooperative: loop until the manager trips the cancel hook.
             deadline = time.time() + 10.0
             while time.time() < deadline:
@@ -190,7 +190,7 @@ class TestTimeout:
             manager.shutdown()
 
     def test_per_spec_timeout_overrides_default(self):
-        def slow(job_spec, *, cancelled=None, pool=None):
+        def slow(job_spec, *, cancelled=None):
             while not cancelled():
                 time.sleep(0.01)
             return ok_outcome()
@@ -210,7 +210,7 @@ class TestRetries:
     def test_transient_failure_retried_until_success(self, fast_retry):
         calls = []
 
-        def flaky(job_spec, *, cancelled=None, pool=None):
+        def flaky(job_spec, *, cancelled=None):
             calls.append(time.time())
             if len(calls) < 3:
                 raise TransientFlowError("worker crashed")
@@ -236,7 +236,7 @@ class TestRetries:
             manager.shutdown()
 
     def test_retries_exhausted_fails(self, fast_retry):
-        def always_transient(job_spec, *, cancelled=None, pool=None):
+        def always_transient(job_spec, *, cancelled=None):
             raise TransientFlowError("still broken")
 
         manager = JobManager(
@@ -253,7 +253,7 @@ class TestRetries:
     def test_deterministic_flow_error_never_retried(self, fast_retry):
         calls = []
 
-        def deterministic(job_spec, *, cancelled=None, pool=None):
+        def deterministic(job_spec, *, cancelled=None):
             calls.append(1)
             raise FlowError("model is invalid")
 
@@ -358,7 +358,7 @@ class TestShutdown:
         # A new manager on the same journal path replays the backlog.
         done = []
 
-        def recorder_executor(job_spec, *, cancelled=None, pool=None):
+        def recorder_executor(job_spec, *, cancelled=None):
             done.append(job_spec)
             return ok_outcome()
 

@@ -70,7 +70,7 @@ class TestSloEndpoint:
         assert latency["observed"] is not None
 
     def test_breach_returns_503(self):
-        def failing(job_spec, *, cancelled=None, pool=None):
+        def failing(job_spec, *, cancelled=None):
             raise ValueError("deterministic failure")
 
         manager = JobManager(workers=1, executor=failing)

@@ -69,10 +69,10 @@ class Blocker:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self, spec, *, cancelled=None, pool=None):
+    def __call__(self, spec, *, cancelled=None):
         self.started.set()
         self.release.wait(timeout=30.0)
-        return execute(spec, cancelled=cancelled, pool=pool)
+        return execute(spec, cancelled=cancelled)
 
 
 class Recorder:
@@ -81,9 +81,9 @@ class Recorder:
     def __init__(self):
         self.specs = []
 
-    def __call__(self, spec, *, cancelled=None, pool=None):
+    def __call__(self, spec, *, cancelled=None):
         self.specs.append(spec)
-        return execute(spec, cancelled=cancelled, pool=pool)
+        return execute(spec, cancelled=cancelled)
 
 
 class TestJournalReplayOrdering:

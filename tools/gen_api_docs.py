@@ -27,7 +27,7 @@ def main() -> None:
         "",
         "Guides: [tutorial](tutorial.md) · "
         "[observability (tracing/metrics/profiling)](observability.md) · "
-        "[parallelism & caching](parallel.md) · "
+        "[synthesis cache](parallel.md) · "
         "[batch server](server.md)",
         "",
     ]
