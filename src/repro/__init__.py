@@ -37,7 +37,7 @@ Packages
 - :mod:`repro.backends` — the heterogeneous strategy façade (Fig. 1);
 - :mod:`repro.mpsoc` — the downstream MPSoC flow: platform, metrics,
   scheduling, multithreaded C generation;
-- :mod:`repro.transform` — rule engine, trace links, templates;
+- :mod:`repro.transform` — rule engine and trace links;
 - :mod:`repro.obs` — observability: span tracing, metrics, Chrome-trace
   export (disabled by default, zero overhead);
 - :mod:`repro.parallel` — the content-addressed synthesis cache

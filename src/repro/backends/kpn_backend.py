@@ -177,58 +177,45 @@ class KpnNetwork:
         small runtime (``kpn_runtime.h``: ``kpn_channel``, ``kpn_read``,
         ``kpn_write``, ``kpn_register``, ``kpn_run``).
         """
-        from ..transform.text import Template
+        processes = [self.processes[name] for name in sorted(self.processes)]
+        lines = [
+            "/* Generated by repro.backends.kpn_backend -- do not edit. */",
+            '#include "kpn_runtime.h"',
+            "",
+        ]
+        lines += [
+            f"static kpn_channel ch_{name};"
+            for name in sorted(channel.name for channel in self.channels.values())
+        ]
+        lines.append("")
+        for process in processes:
+            lines.append(f"static void process_{process.name}(void) {{")
+            lines += [
+                f"    double {name} = kpn_read(&ch_{name});"
+                for name in process.inputs
+            ]
+            if process.outputs:
+                lines.append(f"    double out = {_behavior_expr(process)};")
+                lines += [
+                    f"    kpn_write(&ch_{name}, out);" for name in process.outputs
+                ]
+            lines += ["}", ""]
+        lines.append("int main(void) {")
+        lines += [
+            f'    kpn_register(process_{process.name}, "{process.name}");'
+            for process in processes
+        ]
+        lines += ["    kpn_run();", "    return 0;", "}"]
+        return "\n".join(lines) + "\n"
 
-        template = Template(
-            """
-/* Generated by repro.backends.kpn_backend -- do not edit. */
-#include "kpn_runtime.h"
 
-%for channel in channels:
-static kpn_channel ch_${channel.name};
-%end
-
-%for process in processes:
-static void process_${process.name}(void) {
-%for name in process.inputs:
-    double ${name} = kpn_read(&ch_${name});
-%end
-%if len(process.outputs) > 0:
-    double out = ${behavior_expr(process)};
-%for name in process.outputs:
-    kpn_write(&ch_${name}, out);
-%end
-%end
-}
-
-%end
-int main(void) {
-%for process in processes:
-    kpn_register(process_${process.name}, "${process.name}");
-%end
-    kpn_run();
-    return 0;
-}
-"""
-        )
-
-        def behavior_expr(process: KpnProcess) -> str:
-            if not process.inputs:
-                return f"{process.name}_source()"
-            terms = " + ".join(process.inputs)
-            if process.behavior is not None:
-                args = ", ".join(process.inputs)
-                return f"{process.name}_step({args})"
-            return terms
-
-        return template.render(
-            channels=sorted(self.channels.values(), key=lambda c: c.name),
-            processes=[
-                self.processes[name] for name in sorted(self.processes)
-            ],
-            behavior_expr=behavior_expr,
-            len=len,
-        )
+def _behavior_expr(process: KpnProcess) -> str:
+    """The C expression a process writes to every output channel."""
+    if not process.inputs:
+        return f"{process.name}_source()"
+    if process.behavior is not None:
+        return f"{process.name}_step({', '.join(process.inputs)})"
+    return " + ".join(process.inputs)
 
 
 class KpnBackend:

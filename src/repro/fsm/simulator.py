@@ -2,8 +2,8 @@
 
 Executes a flat :class:`~repro.fsm.model.Fsm` against an event sequence.
 Guards and actions are evaluated over the machine's variables with a
-restricted expression evaluator (same safety posture as the template
-engine: library-authored strings, loud failures).
+restricted expression evaluator (library-authored strings, loud
+failures).
 
 Run-to-completion semantics: after consuming an event (or on a ``step``
 with no event), enabled completion (ε) transitions keep firing until none

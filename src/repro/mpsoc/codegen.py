@@ -9,10 +9,11 @@ translation unit per CPU, with
 - ``gfifo_read/write`` calls for inter-CPU channels,
 - a ``main`` that registers the threads with a round-robin scheduler.
 
-The generated code targets a small runtime API (declared in the emitted
-header comment); it is compilable in spirit rather than against a real
-board support package — the paper's authors link against their MPSoC
-platform libraries, which are proprietary.
+Each translation unit is printed as a plain list of lines.  The
+generated code targets a small runtime API (declared in the emitted
+header comment) that is not itself emitted; it is compilable in spirit
+rather than against a real board support package — the paper's authors
+link against their MPSoC platform libraries, which are proprietary.
 """
 
 from __future__ import annotations
@@ -21,48 +22,26 @@ from typing import Dict, List, Tuple
 
 from ..simulink.caam import CaamModel, CpuSubsystem, ThreadSubsystem, is_channel
 from ..simulink.model import Block, SubSystem
-from ..transform.text import Template
 
 
 class CodegenError(Exception):
     """Raised when code cannot be generated."""
 
 
-_CPU_TEMPLATE = Template(
-    """
-/* Generated by repro.mpsoc.codegen for ${cpu} -- do not edit. */
-/* Runtime API:
- *   void swfifo_read(const char *ch, double *v);   intra-CPU channel
- *   void swfifo_write(const char *ch, double v);
- *   void gfifo_read(const char *ch, double *v);    inter-CPU channel
- *   void gfifo_write(const char *ch, double v);
- *   void io_read(const char *port, double *v);     device access
- *   void io_write(const char *port, double v);
- *   void rt_register_thread(void (*fn)(void), const char *name);
- */
-#include "caam_runtime.h"
-
-%for thread in threads:
-/* Thread ${thread.name} */
-void thread_${thread.name}(void) {
-%for decl in declarations[thread.name]:
-    double ${decl};
-%end
-%for stmt in bodies[thread.name]:
-    ${stmt}
-%end
-}
-
-%end
-int main(void) {
-%for thread in threads:
-    rt_register_thread(thread_${thread.name}, "${thread.name}");
-%end
-    rt_scheduler_run();
-    return 0;
-}
-"""
-)
+#: Fixed preamble of every CPU translation unit: the runtime API it targets.
+_RUNTIME_API = [
+    "/* Runtime API:",
+    " *   void swfifo_read(const char *ch, double *v);   intra-CPU channel",
+    " *   void swfifo_write(const char *ch, double v);",
+    " *   void gfifo_read(const char *ch, double *v);    inter-CPU channel",
+    " *   void gfifo_write(const char *ch, double v);",
+    " *   void io_read(const char *port, double *v);     device access",
+    " *   void io_write(const char *port, double v);",
+    " *   void rt_register_thread(void (*fn)(void), const char *name);",
+    " */",
+    '#include "caam_runtime.h"',
+    "",
+]
 
 
 def _thread_statements(
@@ -251,18 +230,21 @@ def generate_cpu_source(caam: CaamModel, cpu_name: str) -> str:
     cpu = caam.cpu(cpu_name)
     protocols = _channel_protocols(caam)
     threads = cpu.thread_subsystems()
-    declarations: Dict[str, List[str]] = {}
-    bodies: Dict[str, List[str]] = {}
+    lines = [f"/* Generated by repro.mpsoc.codegen for {cpu_name} -- do not edit. */"]
+    lines += _RUNTIME_API
     for thread in threads:
-        decls, stmts = _thread_statements(thread, protocols)
-        declarations[thread.name] = decls
-        bodies[thread.name] = stmts
-    return _CPU_TEMPLATE.render(
-        cpu=cpu_name,
-        threads=threads,
-        declarations=declarations,
-        bodies=bodies,
-    )
+        declarations, statements = _thread_statements(thread, protocols)
+        lines += [f"/* Thread {thread.name} */", f"void thread_{thread.name}(void) {{"]
+        lines += [f"    double {decl};" for decl in declarations]
+        lines += [f"    {stmt}" for stmt in statements]
+        lines += ["}", ""]
+    lines.append("int main(void) {")
+    lines += [
+        f'    rt_register_thread(thread_{thread.name}, "{thread.name}");'
+        for thread in threads
+    ]
+    lines += ["    rt_scheduler_run();", "    return 0;", "}"]
+    return "\n".join(lines) + "\n"
 
 
 def generate_all(caam: CaamModel) -> Dict[str, str]:

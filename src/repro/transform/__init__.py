@@ -1,23 +1,20 @@
-"""Model-transformation substrate: rule engine, trace links, templates.
+"""Model-transformation substrate: rule engine and trace links.
 
 Replaces the paper's smartQVT/ATL dependency with an explicit rule-based
-model-to-model engine (:mod:`.engine`), trace-link storage (:mod:`.trace`)
-and a line-oriented model-to-text template engine (:mod:`.text`).
+model-to-model engine (:mod:`.engine`) and trace-link storage
+(:mod:`.trace`).  Model-to-text output is printed by each backend
+directly, as plain Python line lists.
 """
 
 from .engine import Rule, Transformation, TransformationContext, TransformationError
-from .text import Template, TemplateError, render
 from .trace import TraceError, TraceLink, TraceStore
 
 __all__ = [
     "Rule",
-    "Template",
-    "TemplateError",
     "TraceError",
     "TraceLink",
     "TraceStore",
     "Transformation",
     "TransformationContext",
     "TransformationError",
-    "render",
 ]
