@@ -82,8 +82,20 @@ class TestArtifacts:
 
     def test_main_starts_all_threads(self):
         main = JavaBackend().generate(_model())["Main.java"]
-        assert 'new Thread(new T1Thread(), "T1").start();' in main
-        assert 'new Thread(new T2Thread(), "T2").start();' in main
+        assert 'new Thread(new T1Thread(channels, env), "T1").start();' in main
+        assert 'new Thread(new T2Thread(channels, env), "T2").start();' in main
+
+    def test_main_calls_the_declared_thread_constructor(self):
+        # Each thread class only has a (Channels, Environment) constructor;
+        # a no-argument call in Main does not compile.
+        artifacts = JavaBackend().generate(_model())
+        for thread in ("T1", "T2"):
+            assert (
+                f"public {thread}Thread(Channels channels, Environment env) {{"
+                in artifacts[f"{thread}Thread.java"]
+            )
+            assert f"new {thread}Thread(channels, env)" in artifacts["Main.java"]
+        assert "Thread()" not in artifacts["Main.java"]
 
     def test_balanced_braces_everywhere(self):
         for source in JavaBackend().generate(_model()).values():
