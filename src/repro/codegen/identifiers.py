@@ -23,7 +23,7 @@ _INVALID_RE = re.compile(r"[^A-Za-z0-9_]+")
 
 #: Words no emitted symbol may collide with (C99 + a few common POSIX
 #: and Java clashes; lowercase comparison).
-_RESERVED = frozenset(
+RESERVED = frozenset(
     """
     auto break case char const continue default do double else enum extern
     float for goto if inline int long register restrict return short signed
@@ -47,7 +47,7 @@ def sanitize(name: str, fallback: str = "id") -> str:
         mangled = fallback
     if mangled[0].isdigit():
         mangled = "_" + mangled
-    if mangled.lower() in _RESERVED:
+    if mangled.lower() in RESERVED:
         mangled += "_"
     return mangled
 

@@ -149,6 +149,15 @@ class TestErrors:
         with pytest.raises(FsmError, match="identifier"):
             generate_c(fsm)
 
+    @pytest.mark.parametrize("generate", [generate_c, generate_header, generate_java])
+    def test_reserved_word_variable_rejected(self, generate):
+        # `double int;` fails gcc and `private double int` fails javac.
+        fsm = Fsm("bad")
+        fsm.add_state("idle", initial=True)
+        fsm.add_variable("int", 0.0)
+        with pytest.raises(FsmError, match="'int' is a reserved word"):
+            generate(fsm)
+
     def test_no_initial_rejected(self):
         fsm = Fsm("empty")
         with pytest.raises(FsmError, match="no initial"):
