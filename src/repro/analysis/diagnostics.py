@@ -62,6 +62,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RA303": ("warning", "syntactically overlapping guards on one source state"),
     "RA304": ("note", "declared variable is never read by any guard or action"),
     "RA305": ("error", "state machine has no initial state"),
+    "RA306": ("error", "guard or action text is outside the FSM expression language"),
     # -- RA4xx: dataflow and SDF --------------------------------------------
     "RA401": ("error", "SDF balance equations are inconsistent (rate mismatch)"),
     "RA402": ("error", "SDF graph deadlocks (insufficient initial tokens)"),

@@ -8,18 +8,17 @@ code can call :func:`fsm_diagnostics` on hand-built machines directly.
 Checks: missing initial state (RA305), unreachable states (RA301), dead
 transitions — sourced in an unreachable state or shadowed by an earlier
 transition that always fires first (RA302), syntactically overlapping
-guards on the same source state and event (RA303), and declared
-variables no guard or action ever mentions (RA304).
+guards on the same source state and event (RA303), declared variables no
+parsed guard or action mentions (RA304), and text that does not parse as
+:mod:`repro.fsm.expr`'s language (RA306).
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
+from ...fsm.expr import ExprError, parse_guard, texts
 from ..diagnostics import Diagnostic, make_diagnostic
-
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _normalize(guard) -> str:
@@ -59,10 +58,21 @@ def fsm_diagnostics(fsm) -> List[Diagnostic]:
             )
         )
 
+    # RA306 for text outside the expression language; the variables of
+    # the rest feed RA303 and RA304.
+    names: Dict[Tuple[object, str], FrozenSet[str]] = {}
+    for owner, parse, text in texts(fsm):
+        try:
+            names[parse, text] = parse(text).names if text else frozenset()
+        except ExprError as exc:
+            diagnostics.append(make_diagnostic(
+                "RA306", f"{owner}: {exc}", location=where,
+                fix_hint="keep to the grammar in repro.fsm.expr"))
+
     # Dead transitions: unreachable source, or shadowed by an earlier
     # transition from the same (source, event) whose guard always holds
     # first (unconditional, or syntactically identical).
-    seen: Dict[Tuple[str, str], List[str]] = {}
+    seen: Dict[Tuple[str, str], List[Tuple[str, FrozenSet[str]]]] = {}
     for transition in fsm.transitions:
         label = transition.label()
         if transition.source in unreachable:
@@ -78,8 +88,9 @@ def fsm_diagnostics(fsm) -> List[Diagnostic]:
             continue
         key = (transition.source, transition.event)
         guard = _normalize(transition.guard)
+        mine = names.get((parse_guard, transition.guard), frozenset())
         earlier = seen.setdefault(key, [])
-        shadowing = [g for g in earlier if g == "" or g == guard]
+        shadowing = [g for g, _ in earlier if g == "" or g == guard]
         if shadowing:
             shadow = shadowing[0] or "true"
             diagnostics.append(
@@ -98,9 +109,8 @@ def fsm_diagnostics(fsm) -> List[Diagnostic]:
             # flag syntactic overlap when they share a variable — the
             # machine picks whichever is declared first, which is easy
             # to get wrong when both can hold.
-            mine = set(_WORD.findall(guard))
-            for other in earlier:
-                if other and mine & set(_WORD.findall(other)):
+            for other, theirs in earlier:
+                if other and mine & theirs:
                     diagnostics.append(
                         make_diagnostic(
                             "RA303",
@@ -114,17 +124,11 @@ def fsm_diagnostics(fsm) -> List[Diagnostic]:
                         )
                     )
                     break
-        earlier.append(guard)
+        earlier.append((guard, mine))
 
     # Unused variables: declared but never mentioned by any guard,
     # action, entry or exit text.
-    mentioned: set = set()
-    for transition in fsm.transitions:
-        mentioned |= set(_WORD.findall(transition.guard or ""))
-        mentioned |= set(_WORD.findall(transition.action or ""))
-    for state in fsm.states.values():
-        mentioned |= set(_WORD.findall(state.entry or ""))
-        mentioned |= set(_WORD.findall(state.exit or ""))
+    mentioned = set().union(*names.values())
     for name in sorted(fsm.variables):
         if name not in mentioned:
             diagnostics.append(

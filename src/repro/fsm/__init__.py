@@ -3,6 +3,7 @@ execution — the control-flow back-end of the paper's design flow."""
 
 from .block import chart_block, threshold_events
 from .codegen import generate_artifacts, generate_c, generate_header, generate_java
+from .expr import ExprError
 from .from_uml import fsm_from_state_machine
 from .model import Fsm, FsmError, FsmState, FsmTransition
 from .simulator import (
@@ -14,6 +15,7 @@ from .simulator import (
 )
 
 __all__ = [
+    "ExprError",
     "Fsm",
     "chart_block",
     "threshold_events",

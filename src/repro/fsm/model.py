@@ -9,6 +9,7 @@ transitions, and variables.  UML state machines are lowered onto it by
 
 Guards and actions are small expression/statement strings over the machine
 variables, e.g. guard ``"count < 3"`` and action ``"count = count + 1"``.
+Their grammar is stated once, in :mod:`repro.fsm.expr`.
 """
 
 from __future__ import annotations

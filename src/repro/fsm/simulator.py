@@ -1,118 +1,27 @@
 """FSM execution engine.
 
 Executes a flat :class:`~repro.fsm.model.Fsm` against an event sequence.
-Guards and actions are evaluated over the machine's variables with a
-restricted expression evaluator (library-authored strings, loud
-failures).
+Guards and actions run as closures built once per text by
+:mod:`repro.fsm.expr`, never through ``eval``.  Bad text raises ``ExprError``
+at construction; evaluation errors raise :class:`FsmRuntimeError` at the step.
 
 Run-to-completion semantics: after consuming an event (or on a ``step``
 with no event), enabled completion (ε) transitions keep firing until none
 is enabled or a fixpoint bound is hit (guarding against ε-cycles).
-
-Expressions are compiled once: every distinct guard string and action
-statement becomes a code object in a process-wide cache at first sight
-(warmed eagerly at simulator construction), so the hot path evaluates
-precompiled code instead of re-parsing source per transition.  An
-expression that does not compile is kept as raw source and re-evaluated
-through ``eval`` at fire time, which reproduces the original error text
-byte-for-byte at the original moment.
 """
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import recorder as _obs
+from .expr import parse_actions, parse_guard, texts
 from .model import Fsm, FsmError, FsmTransition
-
-#: Matches ``name =`` (assignment) but not ``name ==`` (comparison).
-_ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*)\s*=(?!=)")
-
-_SAFE_BUILTINS = {
-    "abs": abs,
-    "min": min,
-    "max": max,
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "round": round,
-    "True": True,
-    "False": False,
-}
-
-#: Shared globals for every expression evaluation.  ``eval`` in expression
-#: mode cannot write globals, so one dict serves all machines.
-_EXPR_GLOBALS = {"__builtins__": _SAFE_BUILTINS}
 
 #: Bound on chained ε-transitions per step (run-to-completion safety net).
 MAX_COMPLETION_CHAIN = 64
-
-#: guard source -> code object (or raw source when compilation failed;
-#: evaluating the raw string reproduces the original error exactly).
-_GUARD_CACHE: Dict[str, object] = {}
-
-#: actions source -> tuple of (target name | None, statement, evaluatable).
-_ACTION_CACHE: Dict[str, Tuple[Tuple[Optional[str], str, object], ...]] = {}
-
-
-def _compile_expression(expression: str) -> object:
-    """Compile for ``eval``; fall back to raw source on any compile error.
-
-    ``eval`` tolerates leading spaces/tabs that a bare ``compile`` call
-    rejects with ``IndentationError``, so the source is left-stripped
-    first; the ``<string>`` filename keeps SyntaxError text identical to
-    the interpreted path.
-    """
-    try:
-        return compile(expression.lstrip(" \t"), "<string>", "eval")
-    except Exception:
-        return expression
-
-
-def _guard_code(guard: str) -> object:
-    code = _GUARD_CACHE.get(guard)
-    if code is None:
-        code = _compile_expression(guard)
-        _GUARD_CACHE[guard] = code
-        rec = _obs.get()
-        if rec.enabled:
-            rec.incr("fsm.compile.exprs")
-    return code
-
-
-def _action_ops(actions: str) -> Tuple[Tuple[Optional[str], str, object], ...]:
-    ops = _ACTION_CACHE.get(actions)
-    if ops is None:
-        parsed: List[Tuple[Optional[str], str, object]] = []
-        for statement in actions.split(";"):
-            statement = statement.strip()
-            if not statement:
-                continue
-            assignment = _ASSIGN_RE.match(statement)
-            if assignment:
-                expression = statement[assignment.end():]
-                parsed.append(
-                    (
-                        assignment.group(1),
-                        statement,
-                        _compile_expression(expression),
-                    )
-                )
-            else:
-                # Expression statements (e.g. emit-style calls) are evaluated
-                # for effect; unknown names fail loudly.
-                parsed.append(
-                    (None, statement, _compile_expression(statement))
-                )
-        ops = tuple(parsed)
-        _ACTION_CACHE[actions] = ops
-        rec = _obs.get()
-        if rec.enabled:
-            rec.incr("fsm.compile.exprs", len(ops))
-    return ops
 
 
 class FsmRuntimeError(FsmError):
@@ -154,57 +63,30 @@ class FsmSimulator:
         #: Longest ε-transition chain observed (run-to-completion depth).
         self.max_completion_chain = 0
         self._guard_evals = 0
-        self._warm_caches()
+        for _, parse, text in texts(fsm):  # bad text fails here, not mid-run
+            if text:
+                parse(text)
         self._run_actions(self.fsm.state(self.current).entry)
 
     # -- expression handling ----------------------------------------------
-    def _warm_caches(self) -> None:
-        """Compile every guard/action up front (errors surface at use).
-
-        Warming populates the process-wide expression caches so the first
-        transition pays no compile cost.  Compile *failures* are swallowed
-        here: the broken source stays cached in raw form and fails at
-        evaluation time with exactly the message (and timing) the
-        per-transition interpreter produced.
-        """
-        for transition in self.fsm.transitions:
-            if transition.guard:
-                _guard_code(transition.guard)
-            if transition.action:
-                _action_ops(transition.action)
-        for state in self.fsm.states.values():
-            for actions in (state.entry, state.exit):
-                if actions:
-                    _action_ops(actions)
-
     def _eval_guard(self, guard: str) -> bool:
         if not guard:
             return True
         self._guard_evals += 1
+        evaluate = parse_guard(guard).evaluate
         try:
-            return bool(
-                eval(  # noqa: S307 - restricted, library-authored
-                    _guard_code(guard), _EXPR_GLOBALS, self.variables
-                )
-            )
+            return evaluate(self.variables)
         except Exception as exc:
             raise FsmRuntimeError(f"guard {guard!r} failed: {exc}") from exc
 
     def _run_actions(self, actions: str) -> None:
         if not actions:
             return
-        variables = self.variables
-        for name, statement, code in _action_ops(actions):
-            try:
-                value = eval(  # noqa: S307 - restricted
-                    code, _EXPR_GLOBALS, variables
-                )
-            except Exception as exc:
-                raise FsmRuntimeError(
-                    f"action {statement!r} failed: {exc}"
-                ) from exc
-            if name is not None:
-                variables[name] = value
+        evaluate = parse_actions(actions).evaluate
+        try:
+            evaluate(self.variables)
+        except Exception as exc:
+            raise FsmRuntimeError(f"action {actions!r} failed: {exc}") from exc
 
     # -- stepping ------------------------------------------------------------
     def _transitions_from(self, state: str) -> Sequence[FsmTransition]:

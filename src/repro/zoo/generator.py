@@ -757,6 +757,7 @@ PATHOLOGICAL_KINDS = (
     "read_before_produce",
     "concurrent_write",
     "fsm_unreachable",
+    "fsm_bad_guard",
     "sdf_inconsistent",
 )
 
@@ -772,6 +773,7 @@ PATHOLOGICAL_EXPECTED_CODES: Dict[str, str] = {
     "read_before_produce": "RA203",
     "concurrent_write": "RA204",
     "fsm_unreachable": "RA301",
+    "fsm_bad_guard": "RA306",
     "sdf_inconsistent": "RA401",
 }
 
@@ -829,7 +831,8 @@ def generate_pathological(seed: int, kind: str) -> Model:
         sd.call("A", "B", "setData", args=["x"])
         sd.call("C", "C", "mkC", result="y")
         sd.call("C", "D", "setData", args=["y"])
-    elif kind == "fsm_unreachable":
+    elif kind in ("fsm_unreachable", "fsm_bad_guard"):
+        bad = kind == "fsm_bad_guard"  # a guard walking Python attributes
         b.thread("T1")
         sd = b.interaction("main")
         sd.call("T1", "T1", "tick", result="x")
@@ -837,11 +840,11 @@ def generate_pathological(seed: int, kind: str) -> Model:
             build_state_machine(
                 FsmSpec(
                     name=f"zoo_bad_{kind}_{seed}_ctl",
-                    states=("s0", "s1", "orphan"),
+                    states=("s0", "s1") if bad else ("s0", "s1", "orphan"),
                     initial="s0",
                     events=("go",),
                     transitions=(
-                        ("s0", "s1", "go", "", ""),
+                        ("s0", "s1", "go", "().__class__ != ()" if bad else "", ""),
                         ("s1", "s0", "go", "", ""),
                     ),
                 )

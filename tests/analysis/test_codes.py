@@ -219,6 +219,20 @@ def ra305_no_initial_state():
     return _codes(model)
 
 
+def ra306_unparsable_guard():
+    spec = FsmSpec(
+        name="ctl",
+        states=("s0", "s1"),
+        initial="s0",
+        events=("go",),
+        transitions=(
+            ("s0", "s1", "go", "().__class__ != ()", ""),
+            ("s1", "s0", "go", "", ""),
+        ),
+    )
+    return _codes(_machine_model(spec))
+
+
 # -- RA4xx: dataflow / SDF --------------------------------------------------
 
 
@@ -301,6 +315,7 @@ FIXTURES = {
     "RA303": ra303_overlapping_guards,
     "RA304": ra304_unused_variable,
     "RA305": ra305_no_initial_state,
+    "RA306": ra306_unparsable_guard,
     "RA401": ra401_rate_inconsistency,
     "RA402": ra402_deadlock,
     "RA403": ra403_unconnected_input,
@@ -327,3 +342,24 @@ def test_fixture_triggers_its_code_exactly_once(code):
     assert observed.count(code) == 1, observed
     extras = set(observed) - {code} - ALLOWED_EXTRAS.get(code, set())
     assert not extras, f"unexpected co-triggered codes: {sorted(extras)}"
+
+
+def _ring(guards, variables=()):
+    """One state, one event, a self-loop per guard; declared variables."""
+    fsm = Fsm("ctl")
+    fsm.add_state("s0")
+    for guard in guards:
+        fsm.add_transition("s0", "s0", event="go", guard=guard)
+    for name in variables:
+        fsm.add_variable(name, 0.0)
+    return [d.code for d in fsm_diagnostics(fsm)]
+
+
+def test_shared_function_name_is_not_an_overlap():
+    # abs is a function, not a variable: the guards share no variable.
+    assert _ring(["abs(x) > 1", "abs(y) < 1e3"], ["x", "y"]) == []
+
+
+def test_exponent_of_a_literal_is_not_a_variable_use():
+    # 1e3 is a number; the declared variable e3 is never read.
+    assert _ring(["x < 1e3"], ["x", "e3"]) == ["RA304"]

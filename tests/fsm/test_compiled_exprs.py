@@ -1,15 +1,14 @@
-"""Precompiled guard/action expressions (repro.fsm.simulator).
+"""Parsed guard/action expressions in the simulator (repro.fsm.expr).
 
-Guards and actions are compiled to code objects once per unique source
-string; behaviour — including the exact error messages and *when* they
-surface — must be indistinguishable from the original per-step ``eval``.
+Guards and actions are parsed once per unique text into closures.  Text
+outside the language fails when the simulator is built; evaluation
+errors keep the messages Python gives and surface at the step.
 """
 
 import pytest
 
 from repro import obs
-from repro.fsm import Fsm, FsmRuntimeError, FsmSimulator
-from repro.fsm.simulator import _SAFE_BUILTINS
+from repro.fsm import ExprError, Fsm, FsmRuntimeError, FsmSimulator
 
 
 def _fsm(guard=None, action=None):
@@ -21,46 +20,32 @@ def _fsm(guard=None, action=None):
     return fsm
 
 
-def _expected_eval_error(expression):
-    try:
-        eval(expression, {"__builtins__": _SAFE_BUILTINS}, {"x": 0.0})
-    except Exception as exc:  # noqa: BLE001 - the message is the point
-        return str(exc)
-    raise AssertionError(f"{expression!r} unexpectedly evaluated")
-
-
 class TestErrorParity:
     def test_undefined_guard_variable_message(self):
         simulator = FsmSimulator(_fsm(guard="q > 1"))
         with pytest.raises(FsmRuntimeError) as excinfo:
             simulator.step("go")
-        expected = _expected_eval_error("q > 1")
-        assert str(excinfo.value) == f"guard 'q > 1' failed: {expected}"
+        assert str(excinfo.value) == (
+            "guard 'q > 1' failed: name 'q' is not defined"
+        )
 
-    def test_syntax_error_guard_fails_at_step_not_construction(self):
-        # compile() fails during eager warm-up; the raw string is kept and
-        # re-evaluated at use, reproducing the original error then.
-        simulator = FsmSimulator(_fsm(guard="x =="))
-        with pytest.raises(FsmRuntimeError) as excinfo:
-            simulator.step("go")
-        expected = _expected_eval_error("x ==")
-        assert str(excinfo.value) == f"guard 'x ==' failed: {expected}"
+    def test_syntax_error_guard_fails_at_construction(self):
+        with pytest.raises(ExprError, match="guard 'x ==' does not parse"):
+            FsmSimulator(_fsm(guard="x =="))
 
     def test_bad_action_message(self):
         simulator = FsmSimulator(_fsm(action="x = x / 0"))
         with pytest.raises(FsmRuntimeError) as excinfo:
             simulator.step("go")
-        expected = _expected_eval_error("x / 0")
-        assert str(excinfo.value) == f"action 'x = x / 0' failed: {expected}"
+        assert str(excinfo.value) == (
+            "action 'x = x / 0' failed: float division by zero"
+        )
 
     def test_builtins_stay_restricted(self):
-        simulator = FsmSimulator(_fsm(guard="open('/etc/hosts')"))
-        with pytest.raises(FsmRuntimeError, match="guard"):
-            simulator.step("go")
+        with pytest.raises(ExprError, match="not in the language"):
+            FsmSimulator(_fsm(guard="open('/etc/hosts')"))
 
     def test_leading_whitespace_guard_still_evaluates(self):
-        # eval() tolerates leading blanks; compile() alone would raise
-        # IndentationError, so the compiler must strip them.
         simulator = FsmSimulator(_fsm(guard="  x < 1"))
         assert simulator.step("go") == "b"
 

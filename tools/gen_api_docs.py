@@ -47,7 +47,8 @@ def main() -> None:
         for member_name, member in sorted(vars(module).items()):
             if member_name.startswith("_"):
                 continue
-            if not (inspect.isclass(member) or inspect.isfunction(member)):
+            # unwrap: lru_cache-decorated functions are documented too
+            if not (inspect.isclass(member) or inspect.isfunction(inspect.unwrap(member))):
                 continue
             if getattr(member, "__module__", None) != name:
                 continue
