@@ -710,8 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-config",
         metavar="FILE.json",
         help=(
-            "declare SLO targets (availability, latency percentiles); "
-            "evaluated into reports, /slo, and slo.* gauges"
+            "declare SLO targets (availability, latency percentiles) "
+            "for repro serve; evaluated by /slo and into slo.* gauges"
         ),
     )
     parser.add_argument(
@@ -1125,7 +1125,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parallel_cache.configure(enabled=False)
     elif args.cache_dir:
         parallel_cache.configure(enabled=True, directory=args.cache_dir)
-    recorder = obs.Recorder()
+    # Spans are kept only when --trace-out will export them, so a long
+    # `repro serve` without it holds constant memory.
+    recorder = obs.Recorder(keep_spans=bool(args.trace_out))
     if getattr(args, "slo_config", None) and args.command != "slo-report":
         from .obs.slo import SloEngine
 

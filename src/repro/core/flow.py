@@ -95,8 +95,8 @@ class SynthesisResult:
     allocation: Optional[AllocationResult] = None
     #: Intermediate artifact of step 2 (E-core XML, pre-optimization).
     intermediate_xml: str = ""
-    #: Per-run observability data: census always, spans/metrics when a
-    #: recorder was active (see :mod:`repro.obs`).
+    #: Per-run census and synthesis-cache verdict (see
+    #: :mod:`repro.obs.report`); spans and metrics stay on the recorder.
     obs: ObservabilityReport = field(default_factory=ObservabilityReport)
 
     @property
@@ -264,7 +264,6 @@ def synthesize(
     elif cache is not None:
         parallel_info["cache"] = {"status": "bypass", "reason": "behaviors"}
 
-    span_start = len(rec.spans)
     with rec.span(
         "flow.synthesize", category="flow", model=model.name
     ) as root:
@@ -309,8 +308,7 @@ def synthesize(
         allocation=allocation,
         intermediate_xml=intermediate,
         obs=_build_report(
-            rec, span_start, mapping, optimization, resolved_plan,
-            parallel=parallel_info,
+            mapping, optimization, resolved_plan, parallel_info
         ),
     )
     if cache is not None and cache_key is not None:
@@ -326,18 +324,15 @@ def synthesize(
 
 
 def _build_report(
-    rec: "_obs.AnyRecorder",
-    span_start: int,
     mapping: MappingResult,
     optimization: OptimizationReport,
     plan: DeploymentPlan,
-    parallel: Optional[Dict[str, object]] = None,
+    parallel: Dict[str, object],
 ) -> ObservabilityReport:
     """Assemble the run's :class:`ObservabilityReport`.
 
-    The census is computed from artifacts the flow built anyway, so it is
-    populated even with the null recorder; spans and the metrics snapshot
-    are included only when a live recorder captured them.
+    The census is computed from artifacts the flow built anyway, so it
+    costs nothing extra and is the same under any recorder.
     """
     channels = optimization.channels
     barriers = optimization.barriers
@@ -355,22 +350,7 @@ def _build_report(
         "barriers_inserted": barriers.count if barriers else 0,
         "warnings": len(mapping.warnings),
     }
-    if not rec.enabled:
-        return ObservabilityReport(census=census, parallel=dict(parallel or {}))
-    # A recorder carrying an SLO engine (repro --slo-config, or one set
-    # programmatically) gets the run's targets evaluated into the report;
-    # publish=True lands the slo.* gauges in the snapshot taken below.
-    slo_doc: Dict[str, object] = {}
-    engine = getattr(rec, "slo_engine", None)
-    if engine is not None:
-        slo_doc = engine.evaluate(rec.metrics, publish=True)
-    return ObservabilityReport(
-        census=census,
-        spans=[s for s in rec.spans[span_start:] if s.end_wall is not None],
-        metrics=rec.metrics.to_dict(),
-        parallel=dict(parallel or {}),
-        slo=slo_doc,
-    )
+    return ObservabilityReport(census=census, parallel=parallel)
 
 
 def synthesize_to_mdl(model: Model, path: str, **kwargs: object) -> SynthesisResult:

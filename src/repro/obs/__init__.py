@@ -21,8 +21,8 @@ dispatch through the module-level current recorder, which starts as the
 
     with obs.use(obs.Recorder()) as rec:
         result = synthesize(model)
-    result.obs.write_trace("trace.json")      # open in Perfetto
-    print(rec.metrics.to_json())              # counters/gauges/timers
+    obs.write_chrome_trace(rec.spans, "trace.json")   # open in Perfetto
+    print(rec.metrics.to_json())                      # counters/gauges/timers
 
 or process-wide with :func:`enable` / :func:`disable`.  The CLI exposes
 the same switches as ``repro --trace-out FILE --metrics-out FILE -v``.

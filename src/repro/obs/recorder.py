@@ -12,7 +12,10 @@ The instrumentation contract for the whole package:
 - enabling observability (``repro --trace-out`` / ``--metrics-out``, or
   :func:`enable` / :func:`use` from library code) swaps in a
   :class:`Recorder` that collects nested :class:`Span` records and feeds a
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  :class:`~repro.obs.metrics.MetricsRegistry`.  A recorder built with
+  ``keep_spans=False`` still times every span into the registry but
+  keeps none of them, so a long session (``repro serve`` without
+  ``--trace-out``) holds constant memory.
 
 Spans nest through an explicit **per-thread** stack on the recorder: the
 span a thread opened last becomes the parent of the next span *that
@@ -202,6 +205,12 @@ class Recorder:
     parentage is explicit: pass ``parent_id=``, adopt a foreign context
     with :meth:`attach`, or use :meth:`open_span`/:meth:`close_span` for
     a span whose open and close happen on different threads.
+
+    ``keep_spans`` (default ``True``) decides whether :attr:`spans`
+    retains every span for export.  With ``False`` spans still get ids,
+    nest, and record their durations as timers, but :attr:`spans` stays
+    empty — the CLI passes ``bool(--trace-out)``, so a serving session
+    that exports no trace does not grow with the jobs it serves.
     """
 
     enabled: bool = True
@@ -211,13 +220,18 @@ class Recorder:
         metrics: Optional[MetricsRegistry] = None,
         *,
         trace_id: Optional[str] = None,
+        keep_spans: bool = True,
     ) -> None:
         self.metrics = metrics or MetricsRegistry()
         self.spans: List[Span] = []
+        self.keep_spans = keep_spans
         #: One id per observability session; stamped on correlated logs.
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
-        #: Optional :class:`repro.obs.slo.SloEngine` evaluated into
-        #: :attr:`ObservabilityReport.slo` by the synthesis flow.
+        #: Optional :class:`repro.obs.slo.SloEngine` declared for this
+        #: session (CLI ``--slo-config``); ``repro serve`` hands it to its
+        #: :class:`~repro.server.JobManager`.  Nothing evaluates it
+        #: implicitly: ``slo.*`` gauges are published only by the
+        #: manager's ``GET /slo``, ``slo_report()`` and shutdown.
         self.slo_engine: Optional[Any] = None
         self._lock = threading.Lock()
         self._tls = threading.local()
@@ -282,7 +296,8 @@ class Recorder:
         with self._lock:
             span.id = self._next_id
             self._next_id += 1
-            self.spans.append(span)
+            if self.keep_spans:
+                self.spans.append(span)
         return span
 
     # -- span API ----------------------------------------------------------

@@ -5,8 +5,9 @@ Endpoints (all JSON unless noted):
 ========================  =====================================================
 ``POST /jobs``            submit a job spec; ``201`` + job document,
                           ``400`` bad spec, ``429`` queue full, ``503`` draining
-``GET /jobs``             list all jobs (compact documents)
-``GET /jobs/<id>``        one job's full status document (``404`` unknown)
+``GET /jobs``             list the retained jobs (compact documents)
+``GET /jobs/<id>``        one job's full status document (``404`` unknown
+                          or evicted)
 ``POST /jobs/<id>/cancel``  cancel a queued/running job
 ``GET /jobs/<id>/artifact``  the produced artifact (text/plain ``.mdl`` or
                           JSON Pareto front); ``409`` until the job is done

@@ -17,7 +17,11 @@ One :class:`JobManager` is the entire serving brain; the HTTP layer in
   re-admitted with exponential backoff + jitter; deterministic
   :class:`~repro.core.flow.FlowError`\\ s fail immediately;
 - **graceful shutdown** — :meth:`shutdown` stops admission, lets running
-  jobs drain and journals the still-queued specs.
+  jobs drain and journals the still-queued specs;
+- **bounded state** — a job releases its inline ``model_xmi`` when it
+  reaches a terminal state, and only the :data:`MAX_FINISHED_JOBS` most
+  recently finished jobs stay in the table (queued and running jobs are
+  never evicted); an evicted id answers like an unknown one.
 
 Everything the manager does is measured through :mod:`repro.obs` under
 the ``server.*`` key family (queue-depth/inflight gauges, per-state and
@@ -36,12 +40,14 @@ An :class:`~repro.obs.slo.SloEngine` (default:
 :func:`~repro.obs.slo.default_server_targets`) evaluates availability
 and latency targets against the same registry; ``GET /slo`` serves
 :meth:`JobManager.slo_report` and the published ``slo.*`` gauges enrich
-``/metrics``.
+``/metrics``.  Only that report and :meth:`JobManager.shutdown` publish
+them — job execution never evaluates the engine.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import logging
 import threading
 import time
@@ -61,6 +67,12 @@ log = logging.getLogger(__name__)
 #: How often (seconds) the timeout monitor scans running jobs.
 MONITOR_INTERVAL_S = 0.05
 
+#: Finished (terminal) jobs kept for ``GET /jobs/<id>`` and artifact
+#: download; older ones are evicted, oldest-finished first.  Sixteen
+#: times the default ``queue_depth``: a client that fetches its artifact
+#: soon after its job finishes still finds it.
+MAX_FINISHED_JOBS = 256
+
 
 class AdmissionError(Exception):
     """Base of the admission-refusal errors."""
@@ -75,7 +87,8 @@ class ShuttingDown(AdmissionError):
 
 
 class UnknownJob(KeyError):
-    """No job with the requested id exists (HTTP 404)."""
+    """No job with the requested id exists, or it finished and was
+    evicted from the table (HTTP 404)."""
 
 
 #: Executor signature the manager dispatches to (injectable for tests).
@@ -109,14 +122,14 @@ class JobManager:
         self._executor: Executor = executor or execute
         # A live registry even outside any obs.use() scope, so /metrics
         # always has real numbers; under the CLI the ambient recorder is
-        # picked up and --metrics-out sees the same registry.
+        # picked up and --metrics-out sees the same registry.  Nothing
+        # can export the fallback's spans, so it keeps none.
         rec = recorder if recorder is not None else _obs.get()
         self._rec: "_obs.AnyRecorder" = (
-            rec if rec.enabled else obs.Recorder()
+            rec if rec.enabled else obs.Recorder(keep_spans=False)
         )
         self.slo = slo or SloEngine(default_server_targets())
         self.slo.attach(self._rec.metrics)
-        self._rec.slo_engine = self.slo
         # Root anchor for job spans: the span open on the constructing
         # thread (under `repro serve` that is the `cli.serve` span), so
         # the whole serving session exports as one rooted tree.
@@ -126,6 +139,8 @@ class JobManager:
         self._idle = threading.Condition(self._lock)
         self._queue: Deque[Job] = collections.deque()
         self._jobs: Dict[str, Job] = {}
+        #: Ids of terminal jobs still in ``_jobs``, oldest-finished first.
+        self._finished: Deque[str] = collections.deque()
         self._running: Dict[str, Job] = {}
         self._threads: List[threading.Thread] = []
         self._monitor: Optional[threading.Thread] = None
@@ -178,7 +193,9 @@ class JobManager:
         with self._lock:
             self._accepting = False
             self._stopping = True
-            draining_ids = list(self._running)
+            # The Job objects, not their ids: a drained job may be
+            # evicted from the table before the count below.
+            draining = list(self._running.values())
             self._ready.notify_all()
         drained = 0
         if drain:
@@ -191,11 +208,7 @@ class JobManager:
                     if remaining is not None and remaining <= 0:
                         break
                     self._idle.wait(remaining if remaining is not None else 0.5)
-                drained = sum(
-                    1
-                    for job_id in draining_ids
-                    if self._jobs[job_id].state.terminal
-                )
+                drained = sum(1 for job in draining if job.state.terminal)
         for thread in self._threads:
             thread.join(timeout=1.0)
         self._threads.clear()
@@ -261,14 +274,17 @@ class JobManager:
     # -- inspection --------------------------------------------------------
 
     def get(self, job_id: str) -> Job:
-        """The job with ``job_id`` or :class:`UnknownJob`."""
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise UnknownJob(job_id) from None
+        """The job with ``job_id`` or :class:`UnknownJob` (also once the
+        finished job has been evicted)."""
+        with self._lock:
+            try:
+                return self._jobs[job_id]
+            except KeyError:
+                raise UnknownJob(job_id) from None
 
     def jobs(self) -> List[Job]:
-        """All known jobs, oldest first."""
+        """All retained jobs (live, plus the most recently finished),
+        oldest first."""
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.submitted_at)
 
@@ -489,12 +505,13 @@ class JobManager:
     # -- metrics -----------------------------------------------------------
 
     def _finalize_metrics(self, job: Job) -> None:
-        """Counters, latency histograms, and root-span close on terminal.
+        """Counters, latency histograms, root-span close, and retirement.
 
-        Called from every path that moves a job to a terminal state —
-        worker completion, client cancel, timeout monitor — so this is
-        also where the job's submission-to-terminal root span closes
-        (idempotently), whatever thread got there first.
+        Called (under the lock) from every path that moves a job to a
+        terminal state — worker completion, client cancel, timeout
+        monitor — so this is also where the job's submission-to-terminal
+        root span closes, whatever thread got there first, and where the
+        job releases its inline XMI and joins the bounded finished set.
         """
         state = job.state.value
         kind = job.spec.kind
@@ -512,6 +529,12 @@ class JobManager:
                 state=state,
                 attempts=job.attempts,
             )
+        if job.spec.model_xmi is not None:
+            # Never served back, and the journal keeps only queued specs.
+            job.spec = dataclasses.replace(job.spec, model_xmi=None)
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
 
     def _metrics_snapshot(self) -> None:
         self._rec.gauge("server.queue.depth", len(self._queue))

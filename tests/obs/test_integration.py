@@ -35,39 +35,49 @@ class TestSynthesisReport:
         assert census["barriers_inserted"] == 1
         assert census["channels"]["intra_cpu"] == 3
         assert census["trace"]["links"] == len(result.mapping.context.trace)
-        assert not result.obs.recorded  # null recorder: no spans/metrics
 
     def test_one_span_per_flow_step_when_recording(self):
-        with obs.use(obs.Recorder()):
-            result = synthesize(
-                crane.build_model(), behaviors=crane.behaviors()
-            )
-        report = result.obs
-        assert report.recorded
+        with obs.use(obs.Recorder()) as rec:
+            synthesize(crane.build_model(), behaviors=crane.behaviors())
+
+        def named(name):
+            return [s for s in rec.spans if s.name == name]
+
         for step in FLOW_STEPS:
-            assert len(report.span_named(step)) == 1, step
-        (root,) = report.span_named("flow.synthesize")
+            assert len(named(step)) == 1, step
+        (root,) = named("flow.synthesize")
         for step in FLOW_STEPS:
-            assert report.span_named(step)[0].parent_id == root.id
+            assert named(step)[0].parent_id == root.id
 
     def test_rule_spans_link_to_trace_links(self):
-        with obs.use(obs.Recorder()):
+        with obs.use(obs.Recorder()) as rec:
             result = synthesize(
                 crane.build_model(), behaviors=crane.behaviors()
             )
         links = result.mapping.context.trace.links()
-        span_ids = {s.id for s in result.obs.spans}
+        span_ids = {s.id for s in rec.spans}
         assert links and all(link.span_id in span_ids for link in links)
 
     def test_metrics_contain_documented_families(self):
-        with obs.use(obs.Recorder()):
-            result = synthesize(
-                crane.build_model(), behaviors=crane.behaviors()
-            )
-        validate_metrics(result.obs.metrics)
-        counters = result.obs.metrics["counters"]
+        with obs.use(obs.Recorder()) as rec:
+            synthesize(crane.build_model(), behaviors=crane.behaviors())
+        metrics = rec.metrics.to_dict()
+        validate_metrics(metrics)
+        counters = metrics["counters"]
         assert counters["flow.synthesize.calls"] == 1
         assert counters["optimize.barriers.inserted"] == 1
+
+    def test_synthesis_publishes_no_slo_gauges(self):
+        # SLO gauges come from /slo, slo_report() and server shutdown;
+        # a synthesis never evaluates the session's engine.
+        rec = obs.Recorder()
+        rec.slo_engine = obs.SloEngine(obs.default_server_targets())
+        rec.slo_engine.attach(rec.metrics)
+        with obs.use(rec):
+            synthesize(crane.build_model(), behaviors=crane.behaviors())
+        gauges = rec.metrics.to_dict()["gauges"]
+        assert rec.metrics.counter("flow.synthesize.calls") == 1
+        assert not [name for name in gauges if name.startswith("slo.")]
 
     def test_trace_store_stats_and_json(self):
         result = synthesize(crane.build_model(), behaviors=crane.behaviors())

@@ -57,6 +57,18 @@ class TestSpanNesting:
         assert span.duration >= 0.0
         assert span.cpu_time >= 0.0
 
+    def test_keep_spans_false_times_and_nests_but_keeps_nothing(self):
+        rec = obs.Recorder(keep_spans=False)
+        with rec.span("outer") as outer:
+            with rec.span("inner") as inner:
+                assert rec.current_span_id() == inner.id
+            assert rec.current_span_id() == outer.id
+        job = rec.open_span("job", parent_id=outer.id)
+        rec.close_span(job)
+        assert inner.span.parent_id == outer.id and job.parent_id == outer.id
+        assert rec.spans == [] and rec.finished_spans() == []
+        assert {"outer", "inner", "job"} <= set(rec.metrics.to_dict()["timers"])
+
     def test_every_closed_span_feeds_a_timer(self):
         rec = obs.Recorder()
         with rec.span("pass.x"):
