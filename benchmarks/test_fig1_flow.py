@@ -1,13 +1,14 @@
 """Experiment F1 — paper Fig. 1: the heterogeneous design flow.
 
 One UML model fans out to every code-generation strategy: the
-Simulink-based flow (dataflow), the FSM flow (control-flow), multithreaded
-Java ("in case a Simulink compiler is not available"), and KPN (the
-extensibility claim).  The benchmark times the full fan-out.
+Simulink-based flow (dataflow), the FSM flow (control-flow) and
+multithreaded Java ("in case a Simulink compiler is not available",
+printed from the verified static schedule).  The benchmark times the
+full fan-out.
 """
 
 from repro.apps import crane
-from repro.backends import DesignFlow, FsmBackend, JavaBackend, KpnBackend, SimulinkBackend
+from repro.backends import DesignFlow, FsmBackend, JavaBackend, SimulinkBackend
 from repro.uml import Pseudostate, State, StateMachine, Transition
 
 
@@ -36,7 +37,6 @@ def _fan_out():
             SimulinkBackend(behaviors=crane.behaviors()),
             FsmBackend("c"),
             JavaBackend(),
-            KpnBackend(),
         ]
     )
     return flow.generate_all(model)
@@ -45,26 +45,22 @@ def _fan_out():
 def test_fig1_heterogeneous_flow(benchmark, paper_report):
     artifacts = benchmark(_fan_out)
 
-    assert set(artifacts) == {"simulink", "fsm", "java", "kpn"}
+    assert set(artifacts) == {"simulink", "fsm", "java"}
     assert "crane.mdl" in artifacts["simulink"]
     assert "mode_supervisor.c" in artifacts["fsm"]
-    assert {"T1Thread.java", "T2Thread.java", "T3Thread.java"} <= set(
-        artifacts["java"]
-    )
-    assert "crane.kpn.dot" in artifacts["kpn"]
+    assert set(artifacts["java"]) == {"CraneThreads.java"}
     total_files = sum(len(files) for files in artifacts.values())
     total_bytes = sum(
         len(content) for files in artifacts.values() for content in files.values()
     )
-    assert total_files >= 9
+    assert total_files >= 5
 
     paper_report(
         "F1 / Fig. 1: one UML model, heterogeneous strategies",
         [
             ("Simulink-based flow", ".mdl via CAAM", f"{len(artifacts['simulink'])} artifacts"),
             ("UML/FSM tool flow", "FSM code", f"{len(artifacts['fsm'])} C file(s)"),
-            ("no-Simulink fallback", "multithreaded Java", f"{len(artifacts['java'])} Java files"),
-            ("extensibility (KPN)", "possible target", f"{len(artifacts['kpn'])} artifact(s)"),
+            ("no-Simulink fallback", "multithreaded Java", f"{len(artifacts['java'])} Java file(s)"),
             ("total artifacts", "n/a", f"{total_files} files, {total_bytes} bytes"),
             ("models drawn by designer", "1 UML model", "1 UML model"),
         ],

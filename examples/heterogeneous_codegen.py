@@ -8,10 +8,12 @@ takes the crane UML model and fans it out to
 
 - the Simulink back-end (CAAM ``.mdl`` + intermediate E-core XML),
 - the multithreaded Java back-end,
-- the KPN back-end (network + GraphViz topology),
-- the MPSoC multithreaded C generator (via the synthesized CAAM),
+- the MPSoC multithreaded C (one POSIX thread per CPU, printed from the
+  same verified static schedule as the Java),
 
-writing every artifact into an output directory.
+writing every artifact into an output directory.  The paper's
+extensibility target, a Kahn process network, is the threaded program
+itself: every channel read blocks on a bounded FIFO.
 
 Run:  python examples/heterogeneous_codegen.py [output_dir]
 """
@@ -23,8 +25,9 @@ import sys
 import tempfile
 
 from repro.apps import crane
-from repro.backends import DesignFlow, JavaBackend, KpnBackend, SimulinkBackend
-from repro.mpsoc import generate_all
+from repro.backends import DesignFlow, JavaBackend, SimulinkBackend
+from repro.codegen import build_schedule
+from repro.codegen.cemit import generate_threaded_c
 
 
 def main() -> None:
@@ -37,16 +40,14 @@ def main() -> None:
 
     model = crane.build_model()
     simulink = SimulinkBackend(behaviors=crane.behaviors())
-    flow = DesignFlow([simulink, JavaBackend(), KpnBackend()])
+    flow = DesignFlow([simulink, JavaBackend()])
 
     print(f"generating from UML model {model.name!r} into {output_dir}/")
     artifacts = flow.generate_all(model)
     # Add the downstream MPSoC C sources generated from the CAAM.
     assert simulink.last_result is not None
-    artifacts["mpsoc-c"] = {
-        f"{cpu}.c": source
-        for cpu, source in generate_all(simulink.last_result.caam).items()
-    }
+    schedule = build_schedule(simulink.last_result.caam)
+    artifacts["mpsoc-c"] = generate_threaded_c(schedule)
 
     total = 0
     for backend, files in artifacts.items():
@@ -58,19 +59,9 @@ def main() -> None:
                 handle.write(content)
             print(f"  [{backend:>9}] {filename:<24} {len(content):>6} bytes")
             total += 1
-    print(f"\n{total} artifacts from one UML model, four strategies.")
-
-    kpn_net = flow.backends[2].last_network  # type: ignore[attr-defined]
-    print("\nKPN liveness check: run 3 rounds with unit stimulus")
-    outputs = kpn_net.run(
-        3,
-        inputs={
-            channel.name: [1.0, 1.0, 1.0]
-            for channel in kpn_net.network_inputs()
-        },
-    )
-    for name, tokens in outputs.items():
-        print(f"  {name}: {tokens}")
+    print(f"\n{total} artifacts from one UML model, three strategies.")
+    for cpu, pes in schedule.partition().items():
+        print(f"  {cpu} thread runs {' -> '.join(pes)} every period")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from repro.apps import mjpeg
 from repro.core import synthesize
-from repro.mpsoc import generate_cpu_source, platform_for_caam, steady_state_interval
+from repro.codegen import build_schedule
+from repro.codegen.cemit import generate_threaded_c
+from repro.mpsoc import platform_for_caam, steady_state_interval
 from repro.simulink import Simulator
 from repro.uml import DeploymentPlan
 
@@ -63,11 +65,12 @@ def main() -> None:
         {t: f"CPU{i}" for i, t in enumerate(mjpeg.THREADS)}
     )
     pipelined = synthesize(model, plan, behaviors=mjpeg.behaviors())
-    source = generate_cpu_source(pipelined.caam, "CPU1")
+    source = generate_threaded_c(build_schedule(pipelined.caam))["mjpeg_threads.c"]
     print("  CPU1 (the VLD stage):")
-    for line in source.splitlines():
-        if "thread_Tvld" in line or "fifo" in line or "vld(" in line:
-            print(f"    {line.strip()}")
+    lines = source.splitlines()
+    start = lines.index("static void pe_Tvld_step(void) {")
+    for line in lines[start : lines.index("}", start) + 1]:
+        print(f"    {line}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ threads is turned into a task graph, clustered with linear clustering
 four-CPU Simulink CAAM whose top level matches the paper's Fig. 8.  The
 example then compares the automatic allocation against round-robin and
 random baselines on the MPSoC cost model, and prints the generated
-multithreaded C for one CPU.
+multithreaded C: one POSIX thread per CPU.
 
 Run:  python examples/synthetic_mpsoc.py
 """
@@ -22,12 +22,9 @@ from repro.core import (
     round_robin_clusters,
     synthesize,
 )
-from repro.mpsoc import (
-    communication_cost,
-    generate_cpu_source,
-    platform_for_caam,
-    schedule_caam,
-)
+from repro.codegen import build_schedule
+from repro.codegen.cemit import generate_threaded_c
+from repro.mpsoc import communication_cost, platform_for_caam, schedule_caam
 
 
 def main() -> None:
@@ -73,10 +70,12 @@ def main() -> None:
     for line in schedule.gantt().splitlines():
         print(f"    {line}")
 
-    cpu = result.caam.cpus()[0].name
-    print(f"\n=== Generated multithreaded C for {cpu} (first 30 lines) ===")
-    source = generate_cpu_source(result.caam, cpu)
-    for line in source.splitlines()[:30]:
+    static = build_schedule(result.caam)
+    cpu = next(iter(static.partition()))
+    print(f"\n=== Generated multithreaded C: the {cpu} thread ===")
+    lines = generate_threaded_c(static)["synthetic_threads.c"].splitlines()
+    start = lines.index(f"static void *cpu_{cpu}_thread(void *arg) {{")
+    for line in lines[start : lines.index("}", start) + 1]:
         print(f"  {line}")
 
 

@@ -5,7 +5,8 @@ Heterogeneous Software Code Generation Strategies* (DATE 2008): model an
 embedded system once in UML (sequence + deployment diagrams), then
 synthesize executable, synthesizable Simulink CAAM models — with automatic
 processor allocation, channel inference, and temporal-barrier insertion —
-or generate FSM / multithreaded Java / KPN code from the same model.
+or generate FSM / static-schedule / multithreaded C and Java code from the
+same model.
 
 Quickstart::
 

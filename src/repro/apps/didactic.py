@@ -66,9 +66,24 @@ def build_model() -> Model:
 
 
 def behaviors() -> Dict[str, Callable]:
-    """Executable S-function behaviours for the didactic example."""
-    return {
-        "calc": lambda x: 2.0 * x + 1.0,
-        "dec": lambda x: x - 1.0,
-        "filter": lambda v: 0.5 * v,
-    }
+    """Executable S-function behaviours for the didactic example.
+
+    Each callback computes its declarative ``codegen_spec`` ``a * x + b``
+    with exactly those IEEE operations, so the generated C and Java
+    reproduce the simulator bit for bit (``0.5 * v + 0.0`` maps a
+    ``-0.0`` sample to ``+0.0``, as the generated code does).
+    """
+
+    def calc(x: float) -> float:
+        return 2.0 * x + 1.0
+
+    def dec(x: float) -> float:
+        return 1.0 * x + -1.0
+
+    def filter_(v: float) -> float:
+        return 0.5 * v + 0.0
+
+    calc.codegen_spec = ("affine", 2.0, 1.0)  # type: ignore[attr-defined]
+    dec.codegen_spec = ("affine", 1.0, -1.0)  # type: ignore[attr-defined]
+    filter_.codegen_spec = ("affine", 0.5, 0.0)  # type: ignore[attr-defined]
+    return {"calc": calc, "dec": dec, "filter": filter_}

@@ -87,7 +87,11 @@ def build_model() -> Model:
 
 
 def behaviors() -> Dict[str, Callable]:
-    """Executable behaviours for the decoder's S-functions."""
+    """Executable behaviours for the decoder's S-functions.
+
+    Both are affine; each ``codegen_spec`` names the callback's exact
+    IEEE operations (``a * x + b``) for the static-schedule backend.
+    """
 
     def vld(tokens: float) -> float:
         return VLD_SCALE * tokens + VLD_BIAS
@@ -95,6 +99,8 @@ def behaviors() -> Dict[str, Callable]:
     def idct(freq: float) -> float:
         return IDCT_GAIN * freq + PIXEL_BIAS
 
+    vld.codegen_spec = ("affine", VLD_SCALE, VLD_BIAS)  # type: ignore[attr-defined]
+    idct.codegen_spec = ("affine", IDCT_GAIN, PIXEL_BIAS)  # type: ignore[attr-defined]
     return {"vld": vld, "idct": idct}
 
 

@@ -93,8 +93,17 @@ def build_model() -> Model:
 
 
 def behaviors() -> Dict[str, object]:
-    """Executable behaviours: thread X produces the constant ord(X)."""
-    return {
-        f"comp{thread}": (lambda t=thread: float(ord(t)))
-        for thread in THREADS
-    }
+    """Executable behaviours: thread X produces the constant ord(X).
+
+    Each carries the declarative ``("constant", c)`` spec the
+    static-schedule backend lowers.
+    """
+
+    def constant(value: float):
+        def comp() -> float:
+            return value
+
+        comp.codegen_spec = ("constant", value)  # type: ignore[attr-defined]
+        return comp
+
+    return {f"comp{thread}": constant(float(ord(thread))) for thread in THREADS}

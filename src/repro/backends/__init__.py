@@ -5,9 +5,12 @@ This package realizes the paper's Fig. 1: the *same* UML model feeds
 - :class:`SimulinkBackend` — dataflow subsystems → Simulink CAAM → MPSoC;
 - :class:`FsmBackend` — control-flow subsystems → FSM → C/Java;
 - :class:`JavaBackend` — multithreaded Java "in case a Simulink compiler
-  is not available";
-- :class:`KpnBackend` — Kahn Process Networks (the paper's extensibility
-  claim).
+  is not available", printed from the verified static schedule.
+
+The paper's extensibility target, Kahn Process Networks, needs no
+back-end of its own: the threaded programs of :mod:`repro.codegen`,
+whose reads block on bounded FIFOs, already are bounded KPNs of the
+same threads and channels.
 
 :class:`DesignFlow` fans a model out to a set of back-ends and collects
 every generated artifact.
@@ -20,8 +23,7 @@ from typing import Dict, List, Optional, Protocol
 from ..uml.deployment import DeploymentPlan
 from ..uml.model import Model
 from .fsm_backend import FsmBackend, FsmBackendError
-from .java_backend import JavaBackend, JavaBackendError
-from .kpn_backend import KpnBackend, KpnChannel, KpnError, KpnNetwork, KpnProcess
+from .java_backend import JavaBackend
 from .simulink_backend import SimulinkBackend
 
 
@@ -68,11 +70,5 @@ __all__ = [
     "FsmBackend",
     "FsmBackendError",
     "JavaBackend",
-    "JavaBackendError",
-    "KpnBackend",
-    "KpnChannel",
-    "KpnError",
-    "KpnNetwork",
-    "KpnProcess",
     "SimulinkBackend",
 ]

@@ -3,258 +3,33 @@
 "In case a Simulink compiler is not available, the same UML model can be
 used to generate multithreaded code for other languages, e.g. Java."
 
-Each thread becomes a ``Runnable`` executing its sequence-diagram messages
-in order; inter-thread Set/Get pairs become ``ArrayBlockingQueue`` channels
-owned by a generated ``Channels`` registry; ``<<IO>>`` accesses call an
-``Environment`` interface the integrator implements.  Local method calls
-dispatch to generated stub classes carrying the UML operation bodies (when
-modelled) as comments.
+A thin adapter over the verified static-schedule lowering: synthesize
+the CAAM, build its :class:`~repro.codegen.StaticSchedule`, and print the
+threaded Java driver (:func:`repro.codegen.javaemit.generate_threaded_java`)
+— one thread per CPU, barrier-bracketed periods, blocking FIFO channels
+sized from the SDF buffer bounds.  Lowering failures raise
+:class:`repro.codegen.CodegenError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
-from ..uml.builder import PLATFORM_OBJECT
+from ..codegen.javaemit import generate_threaded_java
+from ..codegen.schedule import build_schedule
+from ..core.flow import synthesize
 from ..uml.deployment import DeploymentPlan
 from ..uml.model import Model
-from ..uml.sequence import Interaction, Message
-
-
-class JavaBackendError(Exception):
-    """Raised when Java generation fails."""
-
-
-_BANNER = "/* Generated by repro.backends.java_backend -- do not edit. */"
-
-
-def _source(lines: List[str]) -> str:
-    return "\n".join([_BANNER, *lines]) + "\n"
-
-
-def _thread_source(class_name: str, fields: List[str], statements: List[str]) -> str:
-    return _source(
-        [
-            f"public class {class_name} implements Runnable {{",
-            "    private final Channels channels;",
-            "    private final Environment env;",
-            "",
-            *(f"    private double {field};" for field in fields),
-            "",
-            f"    public {class_name}(Channels channels, Environment env) {{",
-            "        this.channels = channels;",
-            "        this.env = env;",
-            "    }",
-            "",
-            "    @Override",
-            "    public void run() {",
-            "        try {",
-            "            while (true) {",
-            "                step();",
-            "            }",
-            "        } catch (InterruptedException interrupted) {",
-            "            Thread.currentThread().interrupt();",
-            "        }",
-            "    }",
-            "",
-            "    void step() throws InterruptedException {",
-            *(f"        {stmt}" for stmt in statements),
-            "    }",
-            "}",
-        ]
-    )
-
-
-def _channels_source(channels: List[Tuple[str, str]], capacity: int) -> str:
-    lines = [
-        "import java.util.concurrent.ArrayBlockingQueue;",
-        "import java.util.concurrent.BlockingQueue;",
-        "",
-        "public class Channels {",
-    ]
-    for field, comment in channels:
-        lines += [
-            f"    /* {comment} */",
-            f"    final BlockingQueue<Double> {field} = "
-            f"new ArrayBlockingQueue<>({capacity});",
-        ]
-    return _source(lines + ["}"])
-
-
-def _environment_source(readers: List[str], writers: List[str]) -> str:
-    return _source(
-        [
-            "public interface Environment {",
-            *(f"    double {reader}();" for reader in readers),
-            *(f"    void {writer}(double value);" for writer in writers),
-            "}",
-        ]
-    )
-
-
-def _main_source(threads: List[str]) -> str:
-    return _source(
-        [
-            "public class Main {",
-            "    public static void main(String[] args) {",
-            "        Channels channels = new Channels();",
-            "        Environment env = null; /* supply your environment implementation */",
-            *(
-                f'        new Thread(new {thread}Thread(channels, env), "{thread}").start();'
-                for thread in threads
-            ),
-            "    }",
-            "}",
-        ]
-    )
 
 
 class JavaBackend:
-    """Generates multithreaded Java sources from the UML model."""
+    """Generates the multithreaded Java program for a UML model."""
 
     name = "java"
-
-    def __init__(self, queue_capacity: int = 16) -> None:
-        self.queue_capacity = queue_capacity
 
     def generate(
         self, model: Model, plan: Optional[DeploymentPlan] = None
     ) -> Dict[str, str]:
-        """Return ``{filename: source}`` for the whole application."""
-        if not model.interactions:
-            raise JavaBackendError(
-                f"model {model.name!r} has no interactions to generate from"
-            )
-        threads = _thread_names(model.interactions)
-        if not threads:
-            raise JavaBackendError(
-                f"model {model.name!r} has no thread lifelines"
-            )
-        channels: List[Tuple[str, str]] = []
-        channel_names: Set[str] = set()
-        io_readers: Set[str] = set()
-        io_writers: Set[str] = set()
-        artifacts: Dict[str, str] = {}
-
-        for thread in threads:
-            statements, fields = self._thread_code(
-                model.interactions,
-                thread,
-                channels,
-                channel_names,
-                io_readers,
-                io_writers,
-            )
-            class_name = f"{thread}Thread"
-            artifacts[f"{class_name}.java"] = _thread_source(
-                class_name, sorted(fields), statements
-            )
-        artifacts["Channels.java"] = _channels_source(channels, self.queue_capacity)
-        artifacts["Environment.java"] = _environment_source(
-            sorted(io_readers), sorted(io_writers)
-        )
-        artifacts["Main.java"] = _main_source(threads)
-        return artifacts
-
-    def _thread_code(
-        self,
-        interactions: List[Interaction],
-        thread: str,
-        channels: List[Tuple[str, str]],
-        channel_names: Set[str],
-        io_readers: Set[str],
-        io_writers: Set[str],
-    ) -> Tuple[List[str], Set[str]]:
-        statements: List[str] = []
-        fields: Set[str] = set()
-        for interaction in interactions:
-            for message in interaction.messages():
-                if message.sender.name != thread:
-                    continue
-                statements.extend(
-                    self._message_code(
-                        message,
-                        fields,
-                        channels,
-                        channel_names,
-                        io_readers,
-                        io_writers,
-                    )
-                )
-        return statements, fields
-
-    def _message_code(
-        self,
-        message: Message,
-        fields: Set[str],
-        channels: List[Tuple[str, str]],
-        channel_names: Set[str],
-        io_readers: Set[str],
-        io_writers: Set[str],
-    ) -> List[str]:
-        result = message.result
-        if result:
-            fields.add(result)
-        args = ", ".join(
-            str(a.value) if a.is_variable else repr(float(a.value))
-            for a in message.arguments
-        )
-        for argument in message.arguments:
-            if argument.is_variable:
-                fields.add(str(argument.value))
-
-        if message.is_io_access:
-            if message.is_receive:
-                io_readers.add(message.operation)
-                return [f"{result} = env.{message.operation}();"] if result else [
-                    f"env.{message.operation}();"
-                ]
-            io_writers.add(message.operation)
-            return [f"env.{message.operation}({args});"]
-
-        if message.is_inter_thread:
-            channel = _channel_field(message)
-            if channel not in channel_names:
-                channel_names.add(channel)
-                comment = (
-                    f"{message.channel_name}: "
-                    f"{message.receiver.name if message.is_receive else message.sender.name}"
-                    f" -> "
-                    f"{message.sender.name if message.is_receive else message.receiver.name}"
-                )
-                channels.append((channel, comment))
-            if message.is_receive:
-                target = result or message.channel_name
-                fields.add(target)
-                return [f"{target} = channels.{channel}.take();"]
-            value = args or "0.0"
-            return [f"channels.{channel}.put({value});"]
-
-        # Local computation: call a static helper on the generated Ops class
-        # (kept abstract; behaviour bodies live in the UML model).
-        receiver = message.receiver.name
-        call = (
-            f"Ops.{message.operation}({args})"
-            if receiver == PLATFORM_OBJECT or message.sender is message.receiver
-            else f"Ops.{receiver}_{message.operation}({args})"
-        )
-        if result:
-            return [f"{result} = {call};"]
-        return [f"{call};"]
-
-
-def _channel_field(message: Message) -> str:
-    if message.is_receive:
-        producer, consumer = message.receiver.name, message.sender.name
-    else:
-        producer, consumer = message.sender.name, message.receiver.name
-    return f"{producer}_{consumer}_{message.channel_name}".replace("-", "_")
-
-
-def _thread_names(interactions) -> List[str]:
-    names: List[str] = []
-    for interaction in interactions:
-        for lifeline in interaction.thread_lifelines():
-            if lifeline.name not in names:
-                names.append(lifeline.name)
-    return names
+        """Return ``{"<Model>Threads.java": source}``."""
+        caam = synthesize(model, plan).caam
+        return generate_threaded_java(build_schedule(caam))

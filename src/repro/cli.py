@@ -233,25 +233,32 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
-    from .backends import FsmBackend, JavaBackend, KpnBackend, SimulinkBackend
+    from .backends import FsmBackend, JavaBackend, SimulinkBackend
+    from .codegen import CodegenError
+    from .core.flow import FlowError
 
     if args.backend == "sdf":
         return _cmd_codegen_sdf(args)
+    languages = args.lang or ["c"]
     factories = {
-        "simulink": lambda: SimulinkBackend(auto_allocate=args.auto_allocate),
-        "java": JavaBackend,
-        "kpn": KpnBackend,
-        "fsm": lambda: FsmBackend(args.language),
+        "simulink": lambda: [SimulinkBackend(auto_allocate=args.auto_allocate)],
+        "java": lambda: [JavaBackend()],
+        "fsm": lambda: [FsmBackend(language) for language in languages],
     }
     try:
-        backend = factories[args.backend]()
+        backends = factories[args.backend]()
     except KeyError:
         raise CliError(
             f"unknown backend {args.backend!r}; pick one of "
             f"{sorted(factories) + ['sdf']}"
         ) from None
     model = _load_model(args.model)
-    artifacts = backend.generate(model)
+    artifacts: Dict[str, str] = {}
+    try:
+        for backend in backends:
+            artifacts.update(backend.generate(model))
+    except (FlowError, CodegenError) as exc:
+        raise CliError(f"codegen failed: {exc}") from exc
     os.makedirs(args.output, exist_ok=True)
     for filename, content in artifacts.items():
         path = os.path.join(args.output, filename)
@@ -827,21 +834,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         required=True,
-        help="simulink | java | kpn | fsm | sdf (static schedule)",
-    )
-    p.add_argument(
-        "--language", default="c", help="fsm back-end language (c | java)"
+        help="simulink | java (multithreaded) | fsm | sdf (static schedule)",
     )
     p.add_argument(
         "--lang",
         action="append",
         choices=("c", "java"),
-        help="sdf back-end target language(s); repeatable (default: c)",
+        help="fsm and sdf back-ends: target language; repeat for both "
+        "(default: c)",
     )
     p.add_argument(
         "--auto-allocate",
         action="store_true",
-        help="simulink and sdf back-ends only",
+        help="simulink and sdf back-ends: ignore the deployment diagram "
+        "and cluster threads onto CPUs automatically (§4.2.3)",
     )
     p.add_argument(
         "-o",

@@ -14,10 +14,12 @@ Module map:
 
 - :mod:`~repro.codegen.schedule` — CAAM → :class:`StaticSchedule`;
 - :mod:`~repro.codegen.cemit` / :mod:`~repro.codegen.javaemit` — source
-  emission through one shared statement path (bit-identity contract);
+  emission through one shared statement path (bit-identity contract),
+  printed by a sequential driver and by a threaded one (one thread per
+  CPU, blocking FIFOs — the multithreaded C and Java of Fig. 1);
 - :mod:`~repro.codegen.trace` — digital-thread manifest build/verify;
-- :mod:`~repro.codegen.differential` — compile-and-pin harness against
-  ``Simulator(engine="slots")``;
+- :mod:`~repro.codegen.differential` — compile-and-pin harness for both
+  C programs against ``Simulator(engine="slots")``;
 - :mod:`~repro.codegen.backend` — the facade everything else calls;
 - :mod:`~repro.codegen.identifiers` — shared name sanitization.
 """

@@ -3,8 +3,15 @@
 The generated translation unit is self-contained and allocation-free:
 static signal/state variables, static ring buffers preloaded by
 ``<model>_init()``, one ``static void <pe>_step(void)`` per processing
-element, and one ``<model>_step(inputs, outputs)`` that replays the
-analyzer's PASS firing order.  No malloc, no scheduler, no threads.
+element (the shared body, :func:`lower`), and one of two drivers:
+
+- :func:`generate_c` — ``<model>_step(inputs, outputs)`` replays the
+  analyzer's PASS firing order on the caller's thread.  No malloc, no
+  scheduler, no threads.
+- :func:`generate_threaded_c` — one POSIX thread per CPU of the §4.2.3
+  partition runs that CPU's PEs in firing order between two barriers
+  per period; rings become bounded blocking FIFOs, labelled SWFIFO or
+  GFIFO by whether their PEs share a CPU.  Same interface and harness.
 
 **Bit-identity contract.**  The differential harness pins the generated
 program's output streams bit-for-bit against the slot-compiled simulator,
@@ -86,6 +93,7 @@ class _Namer:
         self._states = SymbolTable("s_")
         self._stims = SymbolTable("in_")
         self._pes = SymbolTable("pe_")
+        self._cpus = SymbolTable("cpu_")
 
     def _rel(self, block: Block) -> str:
         path = block.path
@@ -108,6 +116,9 @@ class _Namer:
     def pe(self, name: str) -> str:
         return self._pes.symbol(name) + "_step"
 
+    def cpu(self, name: str) -> str:
+        return self._cpus.symbol(name)
+
 
 def _out_count(block: Block) -> int:
     """How many output samples the simulator writes for ``block``."""
@@ -120,11 +131,38 @@ def _out_count(block: Block) -> int:
     return 1
 
 
-def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
-    """Emit ``{"<model>.c": ..., "<model>.h": ...}`` for ``schedule``."""
-    name = sanitize(schedule.name).lower()
-    macro = name.upper()
-    names = _Namer(schedule)
+@dataclass
+class Lowered:
+    """The shared body of one translation unit, before any driver.
+
+    Both drivers of an emitter (the sequential ``step`` and the threaded
+    one) print these same pieces; only how a ring is pushed and popped
+    differs, which :func:`lower` takes as the ``pop``/``push`` renderers.
+    """
+
+    #: Stimulus latches, then every block output, in declaration order.
+    signals: List[str]
+    #: Block state declarations (rendered through the dialect).
+    states: List[str]
+    #: Block state resets for ``init``.
+    inits: List[str]
+    #: ``(step-function symbol, body lines)`` per PE, in schedule order.
+    pes: List[Tuple[str, List[str]]]
+    #: How a consumer reads a :class:`ValueRef` (a signal or ``rbN_pop``).
+    ref: Callable[[ValueRef], str]
+    #: The driver's ring statements, reused around the period in ``step``.
+    pop: Callable[[BufferSpec], str]
+    push: Callable[[BufferSpec, str], str]
+
+
+def lower(
+    schedule: StaticSchedule,
+    names: _Namer,
+    d: Dialect,
+    pop: Callable[[BufferSpec], str],
+    push: Callable[[BufferSpec, str], str],
+) -> Lowered:
+    """Lower every PE of ``schedule`` to statements (see :class:`Lowered`)."""
 
     def ref(value: ValueRef) -> str:
         if value.kind == "signal":
@@ -140,135 +178,139 @@ def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
             return names.stim(value.block)
         return f"rb{value.buffer_index}_pop"
 
-    signals: List[str] = []
-    states: List[str] = []
-    pe_functions: List[str] = []
-    init_lines: List[str] = []
-
-    for inport in schedule.inports:
-        signals.append(f"static double {names.stim(inport)};")
-
+    lowered = Lowered(
+        signals=[names.stim(inport) for inport in schedule.inports],
+        states=[],
+        inits=[],
+        pes=[],
+        ref=ref,
+        pop=pop,
+        push=push,
+    )
     for pe in schedule.pes:
         body: List[str] = []
         updates: List[str] = []
         for index in pe.pops:
-            body.append(_pop_stmt(schedule.buffers[index]))
+            body.append(pop(schedule.buffers[index]))
         for step in pe.blocks:
             block = step.block
             args = [ref(value) for value in step.inputs]
-            stmts, upd, decls, inits = block_statements(
-                block, args, names, C_DIALECT
-            )
+            stmts, upd, decls, inits = block_statements(block, args, names, d)
             body.extend(stmts)
             updates.extend(upd)
-            states.extend(decls)
-            init_lines.extend(inits)
+            lowered.states.extend(decls)
+            lowered.inits.extend(inits)
             for port in range(1, _out_count(block) + 1):
-                signals.append(
-                    f"static double {names.signal(block, port)};"
-                )
+                lowered.signals.append(names.signal(block, port))
         for index in pe.pushes:
             spec = schedule.buffers[index]
-            body.append(_push_stmt(spec, ref(spec.source)))
+            body.append(push(spec, ref(spec.source)))
         body.extend(updates)
         if not body:
             body.append("    /* no blocks scheduled on this PE */")
-        pe_functions.append(
-            f"static void {names.pe(pe.name)}(void) {{\n"
-            + "\n".join(body)
-            + "\n}"
-        )
+        lowered.pes.append((names.pe(pe.name), body))
+    return lowered
 
-    buffer_decls: List[str] = []
-    for spec in schedule.buffers:
-        n = spec.index
-        buffer_decls.append(
-            f"static double rb{n}[{spec.capacity}]; "
-            f"static int rb{n}_head; static int rb{n}_tail; "
-            f"static double rb{n}_pop;"
-            f"  /* {spec.channel.path}"
-            + (f", {spec.delay} initial token(s)" if spec.delay else "")
-            + " */"
-        )
-        for position, token in enumerate(spec.initial):
-            init_lines.append(f"    rb{n}[{position}] = {c_double(token)};")
-        init_lines.append(
-            f"    rb{n}_head = 0; rb{n}_tail = {spec.delay}; "
-            f"rb{n}_pop = 0.0;"
-        )
 
-    step_body: List[str] = []
-    if schedule.inports:
-        for position, inport in enumerate(schedule.inports):
-            step_body.append(
-                f"    {names.stim(inport)} = inputs[{position}];"
-            )
-    else:
-        step_body.append("    (void)inputs;")
-    for index in schedule.env_pushes:
-        spec = schedule.buffers[index]
-        step_body.append(_push_stmt(spec, ref(spec.source)))
-    for pe_name in schedule.firing_order:
-        step_body.append(f"    {names.pe(pe_name)}();")
-    for index in schedule.env_pops:
-        step_body.append(_pop_stmt(schedule.buffers[index]))
-    if schedule.outports:
-        for position, value in enumerate(schedule.outport_refs):
-            expr = ref(value) if value is not None else "0.0"
-            step_body.append(f"    outputs[{position}] = {expr};")
-    else:
-        step_body.append("    (void)outputs;")
-
-    analysis = schedule.analysis
-    repetition = ", ".join(
-        f"{actor}:{count}"
-        for actor, count in sorted(analysis.repetition.items())
+def _ring_comment(spec: BufferSpec) -> str:
+    """``path[, N initial token(s)]`` — the comment on every ring."""
+    return spec.channel.path + (
+        f", {spec.delay} initial token(s)" if spec.delay else ""
     )
-    header_name = f"{name}.h"
-    lines: List[str] = [
-        f"/* {name}.c -- static-schedule realization of CAAM "
-        f"{schedule.name!r}.",
-        " * Generated by repro.codegen; do not edit.",
-        " *",
-        " * Periodic admissible sequential schedule (one call of "
-        f"{name}_step()",
-        " * is one period): "
-        + " -> ".join(schedule.firing_order if schedule.firing_order else ("<empty>",)),
-        f" * Repetition vector: {repetition or '<empty>'}",
-        " * No malloc, no runtime scheduler; buffers are static rings",
-        " * sized from the SDF analyzer's PASS bounds.",
-        " *",
-        " * Bit-identity: compile with FP contraction disabled",
-        " * (e.g. cc -O2 -ffp-contract=off) to match the reference",
-        " * simulator stream for stream.",
-        " */",
-        "#include <math.h>",
-        f'#include "{header_name}"',
-        "",
-        "/* -- stimulus latches and block output signals -- */",
+
+
+def _fifo_comment(spec: BufferSpec) -> str:
+    """``PROTOCOL producer -> consumer: path...`` on every threaded ring."""
+    ends = " -> ".join(
+        pe or "<env>" for pe in (spec.producer_pe, spec.consumer_pe)
+    )
+    return f"{spec.protocol} {ends}: {_ring_comment(spec)}"
+
+
+def _threaded_banner(schedule: StaticSchedule) -> List[str]:
+    """The comment lines describing the partition, shared with Java."""
+    lines = [
+        " * One thread per CPU of the thread partition; every period is",
+        " * bracketed by two barriers, and each CPU thread runs its PEs in",
+        " * the PASS firing order:",
     ]
-    lines.extend(signals or ["/* (none) */"])
-    lines.append("")
-    lines.append("/* -- block state -- */")
-    lines.extend(states or ["/* (stateless) */"])
-    lines.append("")
-    lines.append("/* -- channel ring buffers -- */")
-    lines.extend(buffer_decls or ["/* (no channels) */"])
-    lines.append("")
-    lines.append(f"void {name}_init(void) {{")
-    lines.extend(init_lines or ["    /* nothing to reset */"])
-    lines.append("}")
-    lines.append("")
-    lines.extend(pe_functions)
-    lines.append("")
-    lines.append(
-        f"void {name}_step(const double *inputs, double *outputs) {{"
-    )
-    lines.extend(step_body)
-    lines.append("}")
-    lines.append("")
-    lines.extend(_main_harness(name, macro))
+    for cpu, pes in schedule.partition().items():
+        lines.append(f" *   {cpu}: " + " -> ".join(pes))
+    lines += [
+        " * Channels are bounded FIFOs sized from the SDF analyzer's PASS",
+        " * bounds: SWFIFO within one CPU, GFIFO across CPUs.  A pop",
+        " * blocks while its ring is empty, a push while it is full.",
+    ]
+    return lines
 
+
+def _step_body(
+    schedule: StaticSchedule,
+    names: _Namer,
+    lowered: Lowered,
+    period: List[str],
+) -> List[str]:
+    """Stimulus latches, environment pushes, ``period``, pops, outputs."""
+    ref, pop, push = lowered.ref, lowered.pop, lowered.push
+    buffers = schedule.buffers
+    body = [
+        f"    {names.stim(inport)} = inputs[{position}];"
+        for position, inport in enumerate(schedule.inports)
+    ]
+    body += [push(buffers[i], ref(buffers[i].source)) for i in schedule.env_pushes]
+    body += period
+    body += [pop(buffers[i]) for i in schedule.env_pops]
+    body += [
+        f"    outputs[{position}] = "
+        f"{ref(value) if value is not None else '0.0'};"
+        for position, value in enumerate(schedule.outport_refs)
+    ]
+    return body
+
+
+def _c_unit(
+    schedule: StaticSchedule,
+    names: _Namer,
+    filename: str,
+    intro: List[str],
+    lowered: Lowered,
+    rings: List[str],
+    ring_inits: List[str],
+    threads: List[str],
+    period: List[str],
+) -> Dict[str, str]:
+    """Assemble ``{"<model>…c": …, "<model>.h": …}`` around one driver.
+
+    ``intro`` is everything before the declarations (banner, includes,
+    runtime); ``threads`` sits between the PE functions and ``step``;
+    ``period`` is the part of ``step`` that fires the PEs.
+    """
+    name = sanitize(schedule.name).lower()
+    macro = name.upper()
+    body = _step_body(schedule, names, lowered, period)
+    if not schedule.inports:
+        body.insert(0, "    (void)inputs;")
+    if not schedule.outports:
+        body.append("    (void)outputs;")
+    lines = intro + ["", "/* -- stimulus latches and block output signals -- */"]
+    lines += [f"static double {s};" for s in lowered.signals] or ["/* (none) */"]
+    lines += ["", "/* -- block state -- */"]
+    lines += lowered.states or ["/* (stateless) */"]
+    lines += ["", "/* -- channel ring buffers -- */"]
+    lines += rings or ["/* (no channels) */"]
+    lines += ["", f"void {name}_init(void) {{"]
+    lines += lowered.inits + ring_inits or ["    /* nothing to reset */"]
+    lines += ["}", ""]
+    lines += [
+        f"static void {fn}(void) {{\n" + "\n".join(pe_body) + "\n}"
+        for fn, pe_body in lowered.pes
+    ]
+    lines += [""] + threads
+    lines.append(f"void {name}_step(const double *inputs, double *outputs) {{")
+    lines += body
+    lines += ["}", ""]
+    lines += _main_harness(name, macro)
+    header_name = f"{name}.h"
     header = "\n".join(
         [
             f"/* {header_name} -- interface of the generated static "
@@ -289,10 +331,212 @@ def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
             f"#endif /* REPRO_{macro}_H */",
         ]
     ) + "\n"
-    return {
-        f"{name}.c": "\n".join(lines) + "\n",
-        header_name: header,
-    }
+    return {filename: "\n".join(lines) + "\n", header_name: header}
+
+
+def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
+    """Emit ``{"<model>.c": ..., "<model>.h": ...}`` for ``schedule``.
+
+    The sequential driver: ``<model>_step`` fires every PE in the PASS
+    firing order on the caller's thread.
+    """
+    name = sanitize(schedule.name).lower()
+    names = _Namer(schedule)
+    lowered = lower(schedule, names, C_DIALECT, _pop_stmt, _push_stmt)
+    rings: List[str] = []
+    ring_inits: List[str] = []
+    for spec in schedule.buffers:
+        n = spec.index
+        rings.append(
+            f"static double rb{n}[{spec.capacity}]; "
+            f"static int rb{n}_head; static int rb{n}_tail; "
+            f"static double rb{n}_pop;  /* {_ring_comment(spec)} */"
+        )
+        ring_inits += _token_inits(spec, c_double)
+        ring_inits.append(
+            f"    rb{n}_head = 0; rb{n}_tail = {spec.delay}; "
+            f"rb{n}_pop = 0.0;"
+        )
+    repetition = ", ".join(
+        f"{actor}:{count}"
+        for actor, count in sorted(schedule.analysis.repetition.items())
+    )
+    intro = [
+        f"/* {name}.c -- static-schedule realization of CAAM "
+        f"{schedule.name!r}.",
+        " * Generated by repro.codegen; do not edit.",
+        " *",
+        " * Periodic admissible sequential schedule (one call of "
+        f"{name}_step()",
+        " * is one period): " + _order(schedule.firing_order),
+        f" * Repetition vector: {repetition or '<empty>'}",
+        " * No malloc, no runtime scheduler; buffers are static rings",
+        " * sized from the SDF analyzer's PASS bounds.",
+        " *",
+        " * Bit-identity: compile with FP contraction disabled",
+        " * (e.g. cc -O2 -ffp-contract=off) to match the reference",
+        " * simulator stream for stream.",
+        " */",
+        "#include <math.h>",
+        f'#include "{name}.h"',
+    ]
+    period = [f"    {names.pe(pe)}();" for pe in schedule.firing_order]
+    return _c_unit(
+        schedule, names, f"{name}.c", intro, lowered, rings, ring_inits,
+        threads=[], period=period,
+    )
+
+
+#: The bounded blocking FIFO every threaded ring is an instance of.
+_FIFO_RUNTIME = [
+    "/* -- FIFO runtime: a pop blocks while its ring is empty, a push",
+    " *    while it is full; one mutex and condition per ring -- */",
+    "typedef struct {",
+    "    double *slot;",
+    "    int capacity, head, tail, count;",
+    "    pthread_mutex_t lock;",
+    "    pthread_cond_t moved;",
+    "} fifo_t;",
+    "",
+    "static void fifo_reset(fifo_t *f, int tokens) {",
+    "    f->head = 0; f->tail = tokens; f->count = tokens;",
+    "}",
+    "",
+    "static double fifo_pop(fifo_t *f) {",
+    "    double value;",
+    "    pthread_mutex_lock(&f->lock);",
+    "    while (f->count == 0)",
+    "        pthread_cond_wait(&f->moved, &f->lock);",
+    "    value = f->slot[f->head];",
+    "    f->head = (f->head + 1) % f->capacity;",
+    "    f->count -= 1;",
+    "    pthread_cond_broadcast(&f->moved);",
+    "    pthread_mutex_unlock(&f->lock);",
+    "    return value;",
+    "}",
+    "",
+    "static void fifo_push(fifo_t *f, double value) {",
+    "    pthread_mutex_lock(&f->lock);",
+    "    while (f->count == f->capacity)",
+    "        pthread_cond_wait(&f->moved, &f->lock);",
+    "    f->slot[f->tail] = value;",
+    "    f->tail = (f->tail + 1) % f->capacity;",
+    "    f->count += 1;",
+    "    pthread_cond_broadcast(&f->moved);",
+    "    pthread_mutex_unlock(&f->lock);",
+    "}",
+]
+
+
+def _fifo_pop(spec: BufferSpec) -> str:
+    return f"    rb{spec.index}_pop = fifo_pop(&rb{spec.index});"
+
+
+def _fifo_push(spec: BufferSpec, expr: str) -> str:
+    return f"    fifo_push(&rb{spec.index}, {expr});"
+
+
+def generate_threaded_c(schedule: StaticSchedule) -> Dict[str, str]:
+    """Emit ``{"<model>_threads.c": ..., "<model>.h": ...}``.
+
+    The threaded driver over the same body as :func:`generate_c`: one
+    POSIX thread per CPU of :meth:`StaticSchedule.partition`, periods
+    bracketed by two barriers, rings as blocking FIFOs.  The interface
+    and the ``REPRO_CODEGEN_MAIN`` harness are those of the sequential
+    program, so :func:`repro.codegen.differential_check` pins both.
+    """
+    name = sanitize(schedule.name).lower()
+    names = _Namer(schedule)
+    lowered = lower(schedule, names, C_DIALECT, _fifo_pop, _fifo_push)
+    rings: List[str] = []
+    ring_inits: List[str] = []
+    for spec in schedule.buffers:
+        n = spec.index
+        rings += [
+            f"/* {_fifo_comment(spec)} */",
+            f"static double rb{n}_slot[{spec.capacity}]; "
+            f"static double rb{n}_pop;",
+            f"static fifo_t rb{n} = {{rb{n}_slot, {spec.capacity}, 0, 0, 0, "
+            "PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER};",
+        ]
+        ring_inits += _token_inits(spec, c_double, f"rb{n}_slot")
+        ring_inits.append(
+            f"    fifo_reset(&rb{n}, {spec.delay}); rb{n}_pop = 0.0;"
+        )
+    partition = schedule.partition()
+    threads = [
+        "/* -- one thread per CPU; two barriers bracket every period -- */",
+        "static pthread_barrier_t period_start;",
+        "static pthread_barrier_t period_end;",
+        "",
+    ]
+    for cpu, pes in partition.items():
+        threads += [
+            f"static void *{names.cpu(cpu)}_thread(void *arg) {{",
+            "    (void)arg;",
+            "    for (;;) {",
+            "        pthread_barrier_wait(&period_start);",
+            *(f"        {names.pe(pe)}();" for pe in pes),
+            "        pthread_barrier_wait(&period_end);",
+            "    }",
+            "    return NULL;",
+            "}",
+            "",
+        ]
+    threads += [
+        "static void start_threads(void) {",
+        "    static int started = 0;",
+        *(["    pthread_t thread;"] if partition else []),
+        "    if (started) return;",
+        "    started = 1;",
+        f"    pthread_barrier_init(&period_start, NULL, {len(partition) + 1});",
+        f"    pthread_barrier_init(&period_end, NULL, {len(partition) + 1});",
+        *(
+            f"    pthread_create(&thread, NULL, {names.cpu(cpu)}_thread, NULL);"
+            for cpu in partition
+        ),
+        "}",
+        "",
+    ]
+    intro = [
+        f"/* {name}_threads.c -- multithreaded realization of CAAM "
+        f"{schedule.name!r}.",
+        " * Generated by repro.codegen; do not edit.",
+        " *",
+        *_threaded_banner(schedule),
+        " *",
+        " * Bit-identity: compile with FP contraction disabled and",
+        " * POSIX threads (e.g. cc -O2 -ffp-contract=off -pthread).",
+        " */",
+        "#define _POSIX_C_SOURCE 200809L",
+        "#include <math.h>",
+        "#include <pthread.h>",
+        f'#include "{name}.h"',
+    ]
+    if schedule.buffers:
+        intro += [""] + _FIFO_RUNTIME
+    period = [
+        "    start_threads();",
+        "    pthread_barrier_wait(&period_start);",
+        "    pthread_barrier_wait(&period_end);",
+    ]
+    return _c_unit(
+        schedule, names, f"{name}_threads.c", intro, lowered, rings,
+        ring_inits, threads=threads, period=period,
+    )
+
+
+def _order(pes: List[str]) -> str:
+    return " -> ".join(pes if pes else ("<empty>",))
+
+
+def _token_inits(spec: BufferSpec, literal, array: str = "") -> List[str]:
+    """Preload statements for ``spec``'s initial tokens."""
+    array = array or f"rb{spec.index}"
+    return [
+        f"    {array}[{position}] = {literal(token)};"
+        for position, token in enumerate(spec.initial)
+    ]
 
 
 def _pop_stmt(spec: BufferSpec) -> str:

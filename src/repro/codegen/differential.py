@@ -1,10 +1,12 @@
 """Differential checking of generated schedules against the simulator.
 
-The generated C program is compiled with the reference flag set
-(:data:`CFLAGS` — FP contraction off so no multiply-add fuses) and driven
-over the same stimulus episodes as ``Simulator(engine="slots")``; output
-streams must match **bit for bit** (``struct.pack`` comparison, two NaNs
-of any payload count as equal).  All stimulus and output values cross the
+Both generated C programs — the sequential driver and the threaded one
+(:func:`~repro.codegen.cemit.generate_threaded_c`) — are compiled with
+the reference flag set (:data:`CFLAGS` — FP contraction off so no
+multiply-add fuses — plus ``-pthread``) and driven over the same
+stimulus episodes as ``Simulator(engine="slots")``; output streams must
+match **bit for bit** (``struct.pack`` comparison, two NaNs of any
+payload count as equal).  All stimulus and output values cross the
 process boundary as hexadecimal floats (``float.hex()`` / C ``%la``), so
 no bit is ever lost to decimal formatting.
 
@@ -32,6 +34,16 @@ from .schedule import CodegenError, StaticSchedule, build_schedule
 #: a fused multiply-add rounds once where the Python semantics round
 #: twice, which breaks bit-identity on the first Gain-into-Sum chain.
 CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off")
+
+#: Wall-clock bound on one generated binary: a threaded program that
+#: deadlocks fails the check instead of hanging it.
+RUN_TIMEOUT_S = 60
+
+#: The C programs :func:`differential_check` pins, by name.
+PROGRAMS = (
+    ("sequential", cemit.generate_c),
+    ("threaded", cemit.generate_threaded_c),
+)
 
 
 class DifferentialError(Exception):
@@ -64,11 +76,14 @@ class Mismatch:
     step: int
     expected: float
     actual: float
+    #: Which of :data:`PROGRAMS` produced ``actual``.
+    program: str = "sequential"
 
     def __str__(self) -> str:
         return (
             f"{self.outport}[ep{self.episode}][{self.step}]: "
-            f"simulator {self.expected!r} != generated {self.actual!r}"
+            f"simulator {self.expected!r} != {self.program} "
+            f"{self.actual!r}"
         )
 
 
@@ -121,6 +136,7 @@ def compile_c(
     command = [
         compiler,
         *CFLAGS,
+        "-pthread",
         "-DREPRO_CODEGEN_MAIN",
         *c_files,
         "-o",
@@ -163,9 +179,19 @@ def run_binary(
 ) -> List[Dict[str, List[float]]]:
     """Drive the compiled harness; outputs per episode keyed by outport."""
     stdin = _stimulus_lines(schedule, episodes, steps)
-    result = subprocess.run(
-        [binary], input=stdin, capture_output=True, text=True
-    )
+    try:
+        result = subprocess.run(
+            [binary],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise DifferentialError(
+            f"generated binary still running after {RUN_TIMEOUT_S} s "
+            f"(deadlocked?)"
+        ) from exc
     if result.returncode != 0:
         raise DifferentialError(
             f"generated binary exited {result.returncode}: "
@@ -203,40 +229,44 @@ def differential_check(
 ) -> DifferentialReport:
     """Compile the generated C for ``caam`` and pin it to the simulator.
 
-    Raises :class:`~repro.codegen.schedule.CodegenError` when the model is
-    outside the static backend's domain and :class:`DifferentialError` on
-    toolchain trouble; returns a report whose ``ok`` says whether every
-    sample of every episode matched bit for bit.
+    Every program in :data:`PROGRAMS` is compiled and run on the same
+    episodes; ``samples`` counts the compared output positions, and a
+    position matches only if every program reproduces it.  Raises
+    :class:`~repro.codegen.schedule.CodegenError` when the model is
+    outside the static backend's domain and :class:`DifferentialError`
+    on toolchain trouble; returns a report whose ``ok`` says whether
+    every sample of every episode matched bit for bit.
     """
     if schedule is None:
         schedule = build_schedule(caam)
-    artifacts = cemit.generate_c(schedule)
     report = DifferentialReport(
         model=schedule.name, episodes=len(episodes), steps=steps
     )
-    with tempfile.TemporaryDirectory(prefix="repro-codegen-") as workdir:
-        binary = compile_c(artifacts, workdir, compiler)
-        actual = run_binary(binary, schedule, episodes, steps)
     reference = Simulator(caam, engine="slots").run_many(steps, list(episodes))
     out_names = [block.name for block in schedule.outports]
-    for index, (got, want) in enumerate(zip(actual, reference)):
-        for name in out_names:
-            expected = want.outputs[name]
-            produced = got[name]
-            for step in range(steps):
-                report.samples += 1
-                if _same(expected[step], produced[step]):
-                    continue
-                if len(report.mismatches) < max_mismatches:
-                    report.mismatches.append(
-                        Mismatch(
-                            outport=name,
-                            episode=index,
-                            step=step,
-                            expected=expected[step],
-                            actual=produced[step],
+    report.samples = len(reference) * len(out_names) * steps
+    for program, emit in PROGRAMS:
+        with tempfile.TemporaryDirectory(prefix="repro-codegen-") as workdir:
+            binary = compile_c(emit(schedule), workdir, compiler)
+            actual = run_binary(binary, schedule, episodes, steps)
+        for index, (got, want) in enumerate(zip(actual, reference)):
+            for name in out_names:
+                expected = want.outputs[name]
+                produced = got[name]
+                for step in range(steps):
+                    if _same(expected[step], produced[step]):
+                        continue
+                    if len(report.mismatches) < max_mismatches:
+                        report.mismatches.append(
+                            Mismatch(
+                                outport=name,
+                                episode=index,
+                                step=step,
+                                expected=expected[step],
+                                actual=produced[step],
+                                program=program,
+                            )
                         )
-                    )
     return report
 
 
@@ -246,6 +276,8 @@ __all__ = [
     "DifferentialError",
     "DifferentialReport",
     "Mismatch",
+    "PROGRAMS",
+    "RUN_TIMEOUT_S",
     "cc_available",
     "compile_c",
     "differential_check",

@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.sdf import SdfAnalysis, analyze_graph, sdf_from_caam
-from ..simulink.caam import CaamModel, is_channel, is_thread_subsystem
+from ..simulink.caam import (
+    GFIFO,
+    SWFIFO,
+    CaamModel,
+    is_channel,
+    is_thread_subsystem,
+)
 from ..simulink.model import Block, Port, flatten
 from ..simulink.simulator import AlgebraicLoopError, feedthrough_order
 
@@ -103,6 +109,9 @@ class BufferSpec:
     capacity: int
     #: Initial token values in pop order (consumer-adjacent delay first).
     initial: Tuple[float, ...] = ()
+    #: ``GFIFO`` when producer and consumer PE run on different CPUs,
+    #: else ``SWFIFO`` (the environment end never runs inside a period).
+    protocol: str = SWFIFO
 
 
 @dataclass
@@ -156,6 +165,19 @@ class StaticSchedule:
             if entry.name == name:
                 return entry
         raise CodegenError(f"no processing element {name!r} in schedule")
+
+    def partition(self) -> Dict[str, List[str]]:
+        """CPU → its PEs in firing order (the §4.2.3 thread partition).
+
+        CPUs appear in CAAM order; each CPU's list is
+        :attr:`firing_order` restricted to that CPU, so running every
+        list on its own thread preserves the PASS precedences.
+        """
+        cpu_of = {pe.name: pe.cpu for pe in self.pes}
+        partition: Dict[str, List[str]] = {pe.cpu: [] for pe in self.pes}
+        for name in self.firing_order:
+            partition[cpu_of[name]].append(name)
+        return partition
 
     def stats(self) -> Dict[str, int]:
         """Size census used by obs spans and manifests."""
@@ -344,6 +366,13 @@ def build_schedule(caam: CaamModel) -> StaticSchedule:
                 delay=delay,
                 capacity=max(bounds.get(channel.name, 1), delay + 1),
                 initial=initial,
+                protocol=(
+                    GFIFO
+                    if producer_pe is not None
+                    and consumer_pe is not None
+                    and cpu_of.get(producer_pe) != cpu_of.get(consumer_pe)
+                    else SWFIFO
+                ),
             )
             buffer_key[key] = spec.index
             buffers.append(spec)

@@ -12,8 +12,8 @@ the paper's mapping flow —
 4. model-to-text generation of the ``.mdl`` file.
 
 The heterogeneous back-ends of Fig. 1 (FSM code generation for control-flow
-subsystems, multithreaded Java when no Simulink compiler is available, KPN)
-live in :mod:`repro.backends` and reuse steps 1–3 of this flow.
+subsystems, multithreaded Java when no Simulink compiler is available) live
+in :mod:`repro.backends` and reuse steps 1–3 of this flow.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """MPSoC design-flow substrate (the paper's downstream consumer [9]):
-platform model, communication/load metrics, static scheduling, and
-multithreaded C code generation from the CAAM."""
+platform model, communication/load metrics and static scheduling.
 
-from .codegen import CodegenError, generate_all, generate_cpu_source
+The multithreaded C for the CAAM is printed by
+:func:`repro.codegen.cemit.generate_threaded_c` from the verified static
+schedule."""
+
 from .metrics import (
     CommunicationCost,
     IterationEstimate,
@@ -24,7 +26,6 @@ from .schedule import (
 
 __all__ = [
     "Bus",
-    "CodegenError",
     "CommunicationCost",
     "IterationEstimate",
     "LoadReport",
@@ -37,8 +38,6 @@ __all__ = [
     "communication_cost",
     "compare_plans",
     "functional_blocks",
-    "generate_all",
-    "generate_cpu_source",
     "iteration_estimate",
     "load_report",
     "platform_for_caam",

@@ -1,9 +1,13 @@
-"""Unit tests for the multithreaded Java back-end."""
+"""Unit tests for the multithreaded Java back-end (a static-schedule adapter)."""
 
 import pytest
 
-from repro.backends import JavaBackend, JavaBackendError
-from repro.uml import ModelBuilder
+from repro.backends import JavaBackend
+from repro.codegen import build_schedule
+from repro.codegen.javaemit import generate_threaded_java
+from repro.core import synthesize
+from repro.core.flow import FlowError
+from repro.uml import DeploymentPlan, ModelBuilder
 
 
 def _model():
@@ -22,54 +26,52 @@ def _model():
     return b.build()
 
 
+_SPLIT = DeploymentPlan.from_mapping({"T1": "CPU1", "T2": "CPU2"})
+
+
+def _source(plan=None) -> str:
+    return JavaBackend().generate(_model(), plan)["AppThreads.java"]
+
+
 class TestArtifacts:
-    def test_one_class_per_thread_plus_support(self):
+    def test_one_threaded_class(self):
         artifacts = JavaBackend().generate(_model())
-        assert set(artifacts) == {
-            "T1Thread.java",
-            "T2Thread.java",
-            "Channels.java",
-            "Environment.java",
-            "Main.java",
-        }
+        assert set(artifacts) == {"AppThreads.java"}
+        # The adapter adds nothing of its own to the shared lowering.
+        schedule = build_schedule(synthesize(_model()).caam)
+        assert artifacts == generate_threaded_java(schedule)
 
     def test_thread_class_structure(self):
-        source = JavaBackend().generate(_model())["T1Thread.java"]
-        assert "public class T1Thread implements Runnable" in source
-        assert "void step() throws InterruptedException" in source
-        assert "private double x;" in source
-        assert "private double y;" in source
+        source = _source(_SPLIT)
+        assert "public final class AppThreads {" in source
+        assert "public void init() {" in source
+        assert "public void step(double[] inputs, double[] outputs) {" in source
+        assert "private void cpu_CPU1_period() {\n        pe_T1_step();\n    }" in source
+        assert "private void cpu_CPU2_period() {\n        pe_T2_step();\n    }" in source
 
     def test_io_calls_environment(self):
-        artifacts = JavaBackend().generate(_model())
-        assert "x = env.getSample();" in artifacts["T1Thread.java"]
-        assert "env.setActuator(w);" in artifacts["T2Thread.java"]
-        env = artifacts["Environment.java"]
-        assert "double getSample();" in env
-        assert "void setActuator(double value);" in env
+        source = _source()
+        # <<IO>> reads latch the caller's inputs[]; writes fill outputs[].
+        assert "in_In1 = inputs[0];" in source
+        assert "outputs[0] = v_CPU0_T2_gain;" in source
 
     def test_channels_use_blocking_queues(self):
-        artifacts = JavaBackend().generate(_model())
-        channels = artifacts["Channels.java"]
-        assert "ArrayBlockingQueue" in channels
-        assert "T1_T2_value" in channels
-        assert "channels.T1_T2_value.put(y);" in artifacts["T1Thread.java"]
-        assert "z = channels.T1_T2_value.take();" in artifacts["T2Thread.java"]
+        source = _source()
+        assert "synchronized double pop() {\n            while (count == 0) pause();" in source
+        assert "synchronized void push(double value) {\n            while (count == slot.length) pause();" in source
+        assert "rb0_pop = rb0.pop();" in source
 
     def test_matching_set_get_share_one_queue(self):
-        channels = JavaBackend().generate(_model())["Channels.java"]
-        assert channels.count("T1_T2_value") == 1
+        source = _source(_SPLIT)
+        assert source.count("private final Fifo rb") == 1
+        assert "/* GFIFO T1 -> T2: app/ch_T1_T2_value */" in source
+        assert "rb0.push(v_CPU1_T1_filter);" in source
+        assert "rb0_pop = rb0.pop();" in source
 
-    def test_queue_capacity_configurable(self):
-        channels = JavaBackend(queue_capacity=4).generate(_model())[
-            "Channels.java"
-        ]
-        assert "ArrayBlockingQueue<>(4)" in channels
-
-    def test_local_calls_dispatch_to_ops(self):
-        artifacts = JavaBackend().generate(_model())
-        assert "y = Ops.Obj_filter(x);" in artifacts["T1Thread.java"]
-        assert "w = Ops.gain(z);" in artifacts["T2Thread.java"]
+    def test_queue_capacity_from_buffer_bounds(self):
+        schedule = build_schedule(synthesize(_model()).caam)
+        (ring,) = schedule.buffers
+        assert f"new Fifo({ring.capacity});" in _source()
 
     def test_literal_arguments(self):
         b = ModelBuilder("lit")
@@ -77,35 +79,29 @@ class TestArtifacts:
         b.instance("Obj")
         sd = b.interaction("main")
         sd.call("T1", "Obj", "f", args=[2])
-        artifacts = JavaBackend().generate(b.build())
-        assert "Ops.Obj_f(2.0);" in artifacts["T1Thread.java"]
+        source = JavaBackend().generate(b.build())["LitThreads.java"]
+        assert "v_CPU0_T1_const_2 = 0x1.0000000000000p+1;" in source
 
     def test_main_starts_all_threads(self):
-        main = JavaBackend().generate(_model())["Main.java"]
-        assert 'new Thread(new T1Thread(channels, env), "T1").start();' in main
-        assert 'new Thread(new T2Thread(channels, env), "T2").start();' in main
+        source = _source(_SPLIT)
+        assert "private static final int N_CPUS = 2;" in source
+        assert 'spawn("CPU1", this::cpu_CPU1_period);' in source
+        assert 'spawn("CPU2", this::cpu_CPU2_period);' in source
 
     def test_main_calls_the_declared_thread_constructor(self):
-        # Each thread class only has a (Channels, Environment) constructor;
-        # a no-argument call in Main does not compile.
-        artifacts = JavaBackend().generate(_model())
-        for thread in ("T1", "T2"):
-            assert (
-                f"public {thread}Thread(Channels channels, Environment env) {{"
-                in artifacts[f"{thread}Thread.java"]
-            )
-            assert f"new {thread}Thread(channels, env)" in artifacts["Main.java"]
-        assert "Thread()" not in artifacts["Main.java"]
+        source = _source()
+        assert "public AppThreads() {" in source
+        assert "AppThreads schedule = new AppThreads();" in source
 
     def test_balanced_braces_everywhere(self):
-        for source in JavaBackend().generate(_model()).values():
+        for source in JavaBackend().generate(_model(), _SPLIT).values():
             assert source.count("{") == source.count("}")
 
 
 class TestErrors:
     def test_no_interactions_rejected(self):
         b = ModelBuilder("empty")
-        with pytest.raises(JavaBackendError, match="no interactions"):
+        with pytest.raises(FlowError, match="no deployment information"):
             JavaBackend().generate(b.build())
 
     def test_no_threads_rejected(self):
@@ -114,5 +110,5 @@ class TestErrors:
         b.instance("Obj2")
         sd = b.interaction("main")
         sd.call("Obj", "Obj2", "f")
-        with pytest.raises(JavaBackendError, match="no thread"):
+        with pytest.raises(FlowError, match="no deployment information"):
             JavaBackend().generate(b.build())

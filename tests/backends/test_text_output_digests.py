@@ -1,12 +1,12 @@
 """Byte-for-byte pins on every text backend's output.
 
-The FSM, multithreaded Java, KPN and MPSoC C printers have no compiler
-or simulator behind them in the tier-1 suite, so their exact bytes are
-pinned here: a sha256 per artifact, keyed ``<input>/<backend>/<file>``,
-over the four case-study apps, a seed-42 zoo slice (every family, plus
-each zoo state machine with its declared variables), one hand-built FSM
-and one hand-built KPN network.  Where generation raises, the exception
-type and message are pinned instead of a digest.
+The FSM printers and the multithreaded Java and MPSoC C drivers have no
+compiler or simulator behind them in the quick tier-1 run, so their
+exact bytes are pinned here: a sha256 per artifact, keyed
+``<input>/<backend>/<file>``, over the four case-study apps, a seed-42
+zoo slice (every family, plus each zoo state machine with its declared
+variables) and one hand-built FSM.  Where generation raises, the
+exception type and message are pinned instead of a digest.
 
 Regenerate the stored digests (only for an intended output change) with::
 
@@ -23,11 +23,11 @@ from typing import Callable, Dict, Iterator, Tuple
 import pytest
 
 from repro.apps import crane, didactic, mjpeg, synthetic
-from repro.backends import FsmBackend, JavaBackend, KpnBackend
-from repro.backends.kpn_backend import KpnChannel, KpnNetwork, KpnProcess
+from repro.backends import FsmBackend, JavaBackend
+from repro.codegen import build_schedule
+from repro.codegen.cemit import generate_threaded_c
 from repro.core import synthesize
 from repro.fsm import Fsm, generate_artifacts
-from repro.mpsoc import generate_all
 from repro.zoo import build_fsm, generate_corpus
 
 DIGESTS_PATH = Path(__file__).with_name("text_output_digests.json")
@@ -54,18 +54,6 @@ def _hand_built_fsm() -> Fsm:
     fsm.add_transition("opening", "stuck", guard="load > 8")
     fsm.add_transition("open", "closed", event="lock", action="load = 1.5")
     return fsm
-
-
-def _hand_built_kpn() -> KpnNetwork:
-    """A source, a behaviour-carrying filter and an output-less sink."""
-    network = KpnNetwork("filters")
-    network.add_process(KpnProcess("src"))
-    network.add_process(KpnProcess("filt", behavior=lambda inputs: {}))
-    network.add_process(KpnProcess("sink"))
-    network.add_channel(KpnChannel("raw", "src", "filt"))
-    network.add_channel(KpnChannel("ext", "", "filt"))
-    network.add_channel(KpnChannel("cooked", "filt", "sink"))
-    return network
 
 
 def _outcome(produce: Callable[[], Dict[str, str]]) -> Dict[str, str]:
@@ -98,9 +86,6 @@ def _inputs() -> Iterator[Tuple[str, Callable[[], Dict[str, Dict[str, str]]]]]:
         f"fsm-{lang}": _outcome(lambda: generate_artifacts(_hand_built_fsm(), lang))
         for lang in ("c", "java")
     }
-    yield "kpn-filters", lambda: {
-        "kpn": _outcome(lambda: {"filters_kpn.c": _hand_built_kpn().generate_c()})
-    }
 
 
 def _model_outputs(model, behaviors, auto_allocate) -> Dict[str, Dict[str, str]]:
@@ -108,12 +93,13 @@ def _model_outputs(model, behaviors, auto_allocate) -> Dict[str, Dict[str, str]]
         "fsm-c": _outcome(lambda: FsmBackend("c").generate(model)),
         "fsm-java": _outcome(lambda: FsmBackend("java").generate(model)),
         "java": _outcome(lambda: JavaBackend().generate(model)),
-        "kpn": _outcome(lambda: KpnBackend().generate(model)),
         "mpsoc": _outcome(
-            lambda: generate_all(
-                synthesize(
-                    model, auto_allocate=auto_allocate, behaviors=behaviors
-                ).caam
+            lambda: generate_threaded_c(
+                build_schedule(
+                    synthesize(
+                        model, auto_allocate=auto_allocate, behaviors=behaviors
+                    ).caam
+                )
             )
         ),
     }

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.apps import crane, didactic, synthetic
-from repro.backends import DesignFlow, JavaBackend, KpnBackend, SimulinkBackend
+from repro.backends import DesignFlow, JavaBackend, SimulinkBackend
+from repro.codegen import build_schedule
+from repro.codegen.cemit import generate_threaded_c
 from repro.core import synthesize
-from repro.mpsoc import generate_all, platform_for_caam, schedule_caam
+from repro.mpsoc import platform_for_caam, schedule_caam
 from repro.simulink import Simulator, from_ecore_string, from_mdl, is_executable
 from repro.uml import from_xmi_string, to_xmi_string
 
@@ -45,20 +47,20 @@ class TestFourStepFlow:
 
 
 class TestHeterogeneousFanOut:
-    def test_one_model_three_backends(self, crane_model):
+    def test_one_model_two_backends(self, crane_model):
         flow = DesignFlow(
-            [SimulinkBackend(behaviors=crane.behaviors()), JavaBackend(), KpnBackend()]
+            [SimulinkBackend(behaviors=crane.behaviors()), JavaBackend()]
         )
         artifacts = flow.generate_all(crane_model)
-        assert set(artifacts) == {"simulink", "java", "kpn"}
+        assert set(artifacts) == {"simulink", "java"}
         assert "crane.mdl" in artifacts["simulink"]
-        assert "T3Thread.java" in artifacts["java"]
-        assert "crane.kpn.dot" in artifacts["kpn"]
+        assert "pe_T3_step()" in artifacts["java"]["CraneThreads.java"]
 
     def test_caam_feeds_mpsoc_codegen(self, didactic_result):
-        sources = generate_all(didactic_result.caam)
-        assert len(sources) == 2
-        assert all("rt_scheduler_run" in s for s in sources.values())
+        sources = generate_threaded_c(build_schedule(didactic_result.caam))
+        source = sources["didactic_threads.c"]
+        assert "static void *cpu_CPU1_thread(void *arg)" in source
+        assert "static void *cpu_CPU2_thread(void *arg)" in source
 
     def test_caam_feeds_mpsoc_scheduler(self, didactic_result):
         platform = platform_for_caam(didactic_result.caam)

@@ -172,7 +172,7 @@ class TestSimulate:
 
 
 class TestCodegen:
-    @pytest.mark.parametrize("backend", ["simulink", "java", "kpn"])
+    @pytest.mark.parametrize("backend", ["simulink", "java"])
     def test_backends(self, crane_xmi, tmp_path, backend):
         out = tmp_path / backend
         assert (
@@ -182,6 +182,19 @@ class TestCodegen:
             == 0
         )
         assert os.listdir(out)
+
+    def test_fsm_backend_takes_the_same_lang_flag(self, tmp_path):
+        from repro.uml.xmi import write_xmi
+        from repro.zoo import generate_corpus
+
+        scenario = next(s for s in generate_corpus(42, 10) if s.params.fsms)
+        xmi = tmp_path / "fsm.xmi"
+        write_xmi(scenario.model, str(xmi))
+        out = tmp_path / "fsm"
+        argv = ["codegen", str(xmi), "--backend", "fsm", "-o", str(out)]
+        assert main(argv + ["--lang", "c", "--lang", "java"]) == 0
+        suffixes = {os.path.splitext(name)[1] for name in os.listdir(out)}
+        assert suffixes == {".c", ".h", ".java"}
 
     def test_sdf_backend_writes_sources_and_manifest(
         self, crane_xmi, tmp_path, capsys
