@@ -5,8 +5,11 @@ compiler or simulator behind them in the quick tier-1 run, so their
 exact bytes are pinned here: a sha256 per artifact, keyed
 ``<input>/<backend>/<file>``, over the four case-study apps, a seed-42
 zoo slice (every family, plus each zoo state machine with its declared
-variables) and one hand-built FSM.  Where generation raises, the
-exception type and message are pinned instead of a digest.
+variables) and one hand-built FSM.  The Simulink back-end's ``.mdl``
+and its E-core intermediate (``.caam.xml``) are pinned over the same
+inputs, so a printer rewrite that moves a single byte fails here.  Where
+generation raises, the exception type and message are pinned instead of
+a digest.
 
 Regenerate the stored digests (only for an intended output change) with::
 
@@ -23,7 +26,7 @@ from typing import Callable, Dict, Iterator, Tuple
 import pytest
 
 from repro.apps import crane, didactic, mjpeg, synthetic
-from repro.backends import FsmBackend, JavaBackend
+from repro.backends import FsmBackend, JavaBackend, SimulinkBackend
 from repro.codegen import build_schedule
 from repro.codegen.cemit import generate_threaded_c
 from repro.core import synthesize
@@ -101,6 +104,11 @@ def _model_outputs(model, behaviors, auto_allocate) -> Dict[str, Dict[str, str]]
                     ).caam
                 )
             )
+        ),
+        "simulink": _outcome(
+            lambda: SimulinkBackend(
+                auto_allocate=auto_allocate, behaviors=behaviors
+            ).generate(model)
         ),
     }
 

@@ -16,6 +16,8 @@ from repro.simulink import (
 )
 from repro.simulink.caam import CpuSubsystem, ThreadSubsystem
 
+from .test_ecore import escaping_model, snapshot
+
 
 def _accumulator_model():
     model = SimulinkModel("acc")
@@ -94,6 +96,12 @@ class TestRoundTrip:
     def test_double_round_trip_stable(self, crane_result):
         once = to_mdl(crane_result.caam)
         assert to_mdl(from_mdl(once)) == once
+
+    def test_escaped_names_and_strings_survive(self):
+        model = escaping_model()
+        loaded = from_mdl(to_mdl(model))
+        assert snapshot(loaded) == snapshot(model)
+        assert to_mdl(loaded) == to_mdl(model)
 
 
 class TestParserErrors:
