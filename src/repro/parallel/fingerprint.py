@@ -9,11 +9,11 @@ The canonical form of a UML model is its XMI element tree (the writer
 behind :func:`repro.uml.xmi.to_xmi_string`): element ids are assigned by
 a per-model counter in construction order, so two identically-built
 models produce identical trees, and every attribute, message, stereotype,
-and deployment edit lands in it.  The tree is hashed directly — feeding
-the digest while walking is ~3x cheaper than rendering the XML string,
-and the warm-cache hit path pays this cost on every call.  Plans,
-platforms, task graphs and option mappings are canonicalized into sorted
-JSON documents.  All fingerprints are hex SHA-256 digests.
+and deployment edit lands in it.  The tree is hashed once, as one
+value-only pickle, without being rendered to XML (see
+:func:`model_fingerprint`; schema version 2 introduced that encoding).
+Plans, platforms, task graphs and option mappings are canonicalized into
+sorted JSON documents.  All fingerprints are hex SHA-256 digests.
 
 Conservatism note: models that are *semantically* equal but built in a
 different element order fingerprint differently.  For a cache that is the
@@ -23,7 +23,9 @@ safe direction — the worst case is a miss, never a wrong hit.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import pickle
 from typing import Any, Mapping, Optional
 
 from ..uml.deployment import DeploymentPlan
@@ -33,7 +35,7 @@ from ..uml.xmi import _Writer
 #: Bumping the schema version invalidates every previously stored entry —
 #: do so whenever the synthesis flow changes what it produces for the same
 #: inputs (new optimization pass, changed MDL emission, ...).
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def digest(*parts: str) -> str:
@@ -56,36 +58,25 @@ def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def _hash_element(hasher: "hashlib._Hash", element: Any) -> None:
-    """Feed one XMI element (and its subtree) into ``hasher``.
-
-    Tag, sorted attributes and text are length-prefixed (same framing as
-    :func:`digest`), and children are bracketed so sibling/child
-    structure is unambiguous.
-    """
-
-    def feed(text: str) -> None:
-        raw = text.encode("utf-8")
-        hasher.update(str(len(raw)).encode("ascii"))
-        hasher.update(b":")
-        hasher.update(raw)
-
-    feed(str(element.tag))
-    for key in sorted(element.attrib):
-        feed(key)
-        feed(str(element.attrib[key]))
-    feed(element.text or "")
-    hasher.update(b"(")
-    for child in element:
-        _hash_element(hasher, child)
-    hasher.update(b")")
-
-
 def model_fingerprint(model: Model) -> str:
-    """Fingerprint of a UML model via its canonical XMI element tree."""
-    hasher = hashlib.sha256()
-    _hash_element(hasher, _Writer(model).write())
-    return digest("model", hasher.hexdigest())
+    """Fingerprint of a UML model via its canonical XMI element tree.
+
+    The tree is encoded as its preorder rows ``(tag, sorted attribute
+    items, text, child count)`` in one pickle of a pinned protocol.  Fast
+    mode keeps no memo, so the bytes depend on the values alone, never on
+    which equal strings happen to be one object.  The child counts make
+    the preorder decode to exactly one tree, and pickle frames every
+    string with its length, so the encoding is injective.
+    """
+    rows = [
+        (el.tag, sorted(el.attrib.items()), el.text, len(el))
+        for el in _Writer(model).write().iter()
+    ]
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.fast = True
+    pickler.dump(rows)
+    return digest("model", hashlib.sha256(buffer.getvalue()).hexdigest())
 
 
 def plan_fingerprint(plan: Optional[DeploymentPlan]) -> str:

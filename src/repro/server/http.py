@@ -89,8 +89,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_error(400, f"invalid Content-Length: {raw!r}")
+            return None
+        length = int(raw)
+        if length == 0:
             self._send_error(400, "request body required")
             return None
         if length > MAX_BODY_BYTES:

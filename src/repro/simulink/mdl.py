@@ -46,49 +46,21 @@ class MdlError(SimulinkError):
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return '"on"' if value else '"off"'
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _serializable(value: object) -> bool:
-    return isinstance(value, (bool, int, float, str))
-
-
-class _MdlWriter:
-    def __init__(self) -> None:
-        self._chunks: List[str] = []
-        self._depth = 0
-
-    def line(self, text: str) -> None:
-        self._chunks.append("  " * self._depth + text)
-
-    def open(self, section: str) -> None:
-        self.line(section + " {")
-        self._depth += 1
-
-    def close(self) -> None:
-        self._depth -= 1
-        self.line("}")
-
-    def text(self) -> str:
-        return "\n".join(self._chunks) + "\n"
+def _quote(text: str) -> str:
+    if "\\" in text:
+        text = text.replace("\\", "\\\\")
+    if '"' in text:
+        text = text.replace('"', '\\"')
+    return f'"{text}"'
 
 
 def to_mdl(model: SimulinkModel) -> str:
     """Serialize a model (plain or CAAM) to MDL text."""
-    writer = _MdlWriter()
-    writer.open("Model")
-    writer.line(f"Name {_format_value(model.name)}")
-    for key, value in sorted(model.parameters.items()):
-        if _serializable(value):
-            writer.line(f"{key} {_format_value(value)}")
-    _write_system(writer, model.root)
-    writer.close()
-    return writer.text()
+    out = ["Model {", f"  Name {_quote(model.name)}"]
+    _print_parameters(out, model.parameters, "  ")
+    _print_system(out, model.root, "  ")
+    out.append("}\n")
+    return "\n".join(out)
 
 
 def write_mdl(model: SimulinkModel, path: str) -> None:
@@ -97,44 +69,56 @@ def write_mdl(model: SimulinkModel, path: str) -> None:
         handle.write(to_mdl(model))
 
 
-def _write_system(writer: _MdlWriter, system: System) -> None:
-    writer.open("System")
-    writer.line(f"Name {_format_value(system.name)}")
+def _print_parameters(out: List[str], parameters: Dict[str, object], pad: str) -> None:
+    """One ``Key Value`` line per scalar; callables and the like are skipped."""
+    for key, value in sorted(parameters.items()):
+        if isinstance(value, str):
+            out.append(f"{pad}{key} {_quote(value)}")
+        elif isinstance(value, bool):
+            out.append(f'{pad}{key} "on"' if value else f'{pad}{key} "off"')
+        elif isinstance(value, (int, float)):
+            out.append(f"{pad}{key} {value!r}")
+
+
+def _print_system(out: List[str], system: System, pad: str) -> None:
+    inner = pad + "  "
+    out.append(f"{pad}System {{")
+    out.append(f"{inner}Name {_quote(system.name)}")
     for block in system.blocks:
-        _write_block(writer, block)
+        _print_block(out, block, inner)
     for line in system.lines:
-        _write_line(writer, line)
-    writer.close()
+        _print_line(out, line, inner)
+    out.append(f"{pad}}}")
 
 
-def _write_block(writer: _MdlWriter, block: Block) -> None:
-    writer.open("Block")
-    writer.line(f"BlockType {_format_value(block.block_type)}")
-    writer.line(f"Name {_format_value(block.name)}")
-    writer.line(f"Ports [{block.num_inputs}, {block.num_outputs}]")
-    for key, value in sorted(block.parameters.items()):
-        if _serializable(value):
-            writer.line(f"{key} {_format_value(value)}")
+def _print_block(out: List[str], block: Block, pad: str) -> None:
+    inner = pad + "  "
+    out.append(f"{pad}Block {{")
+    out.append(f"{inner}BlockType {_quote(block.block_type)}")
+    out.append(f"{inner}Name {_quote(block.name)}")
+    out.append(f"{inner}Ports [{block.num_inputs}, {block.num_outputs}]")
+    _print_parameters(out, block.parameters, inner)
     if isinstance(block, SubSystem):
-        _write_system(writer, block.system)
-    writer.close()
+        _print_system(out, block.system, inner)
+    out.append(f"{pad}}}")
 
 
-def _write_line(writer: _MdlWriter, line: Line) -> None:
-    writer.open("Line")
-    writer.line(f"SrcBlock {_format_value(line.source.block.name)}")
-    writer.line(f"SrcPort {line.source.index}")
+def _print_line(out: List[str], line: Line, pad: str) -> None:
+    inner = pad + "  "
+    out.append(f"{pad}Line {{")
+    out.append(f"{inner}SrcBlock {_quote(line.source.block.name)}")
+    out.append(f"{inner}SrcPort {line.source.index}")
     if len(line.destinations) == 1:
         dest = line.destinations[0]
-        writer.line(f"DstBlock {_format_value(dest.block.name)}")
-        writer.line(f"DstPort {dest.index}")
+        out.append(f"{inner}DstBlock {_quote(dest.block.name)}")
+        out.append(f"{inner}DstPort {dest.index}")
     else:
         for dest in line.destinations:
-            writer.open("Branch")
-            writer.line(f"DstBlock {_format_value(dest.block.name)}")
-            writer.line(f"DstPort {dest.index}")
-            writer.close()
-    writer.close()
+            out.append(f"{inner}Branch {{")
+            out.append(f"{inner}  DstBlock {_quote(dest.block.name)}")
+            out.append(f"{inner}  DstPort {dest.index}")
+            out.append(f"{inner}}}")
+    out.append(f"{pad}}}")
 
 
 # ---------------------------------------------------------------------------

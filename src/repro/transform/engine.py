@@ -158,7 +158,6 @@ class Transformation:
                         span.set(
                             element=type(element).__name__, targets=created
                         )
-                        rec.incr("transform.rule." + rule.name)
                 if self.exclusive:
                     break
             # Elements matched by no rule are simply skipped, as in ATL.

@@ -7,11 +7,17 @@ cache key must be *sensitive*: changing any flow option or any model
 element changes the key, so stale artifacts can never be served.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import didactic
+import repro
+from repro.apps import crane, didactic, mjpeg, synthetic
 from repro.core.flow import synthesize
 from repro.parallel import cache
 from repro.parallel.fingerprint import (
@@ -21,6 +27,8 @@ from repro.parallel.fingerprint import (
     synthesis_cache_key,
 )
 from repro.uml import ModelBuilder
+from repro.uml.xmi import to_xmi_string
+from repro.zoo import generate_corpus
 
 #: The flow options that participate in the cache key, with a non-default
 #: value for each (``synthesize``'s keyword defaults flipped).
@@ -35,18 +43,18 @@ OPTION_VARIANTS = {
 }
 
 
-def small_model(threads=2, name="prop"):
+def small_model(threads=2, name="prop", names=None, arg="v"):
     b = ModelBuilder(name)
-    names = [f"T{i}" for i in range(1, threads + 1)]
+    names = names or [f"T{i}" for i in range(1, threads + 1)]
     for t in names:
         b.thread(t)
     b.io_device("Dev")
     b.processor("CPU1", threads=names)
     sd = b.interaction("main")
-    sd.call(names[0], "Dev", "read", result="v")
+    sd.call(names[0], "Dev", "read", result=arg)
     for prev, cur in zip(names, names[1:]):
-        sd.call(prev, cur, "push", args=["v"])
-    sd.call(names[-1], "Dev", "write", args=["v"])
+        sd.call(prev, cur, "push", args=[arg])
+    sd.call(names[-1], "Dev", "write", args=[arg])
     return b.build()
 
 
@@ -195,3 +203,59 @@ class TestKeySensitivity:
             fingerprint, "SCHEMA_VERSION", SCHEMA_VERSION + "-test"
         )
         assert synthesis_cache_key(model, None, {}) != before
+
+
+class TestKeyPartition:
+    """The key partitions models exactly as their canonical XMI does."""
+
+    def test_keys_equal_iff_xmi_equal(self):
+        models = [scenario.model for scenario in generate_corpus(42, 100)]
+        for app in (crane, didactic, mjpeg, synthetic):
+            # Built twice: equal pairs must share a key, too.
+            models += [app.build_model(), app.build_model()]
+        key_by_xmi = {}
+        xmi_by_key = {}
+        for model in models:
+            xmi = to_xmi_string(model)
+            key = synthesis_cache_key(model, None, {})
+            assert key_by_xmi.setdefault(xmi, key) == key
+            assert xmi_by_key.setdefault(key, xmi) == xmi
+        assert len(key_by_xmi) == len(models) - 4
+
+    def test_key_is_identical_in_fresh_processes(self):
+        script = (
+            "from repro.apps import crane\n"
+            "from repro.parallel.fingerprint import synthesis_cache_key\n"
+            "print(synthesis_cache_key(crane.build_model(), None, {}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        keys = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            keys.append(done.stdout.strip())
+        assert keys[0] == keys[1]
+        assert keys[0] == synthesis_cache_key(crane.build_model(), None, {})
+
+    @pytest.mark.parametrize("mark", [":", "(", ")", "|", "\n", "\r\n", "\u00e9"])
+    def test_delimiters_in_values_keep_keys_distinct(self, mark):
+        variants = [
+            small_model(names=["A" + mark, "B"]),
+            small_model(names=["A", mark + "B"]),
+            small_model(names=["A" + mark + "B"]),
+            small_model(names=["A", "B"], arg="v" + mark),
+            small_model(names=["A", "B"], arg=mark + "v"),
+            small_model(names=["A", "B"], name="prop" + mark),
+            small_model(names=["A", "B"]),
+        ]
+        xmis = {to_xmi_string(model) for model in variants}
+        keys = {synthesis_cache_key(model, None, {}) for model in variants}
+        assert len(xmis) == len(variants)
+        assert len(keys) == len(variants)

@@ -5,6 +5,7 @@ manager underneath runs an injected executor so requests are fast and
 deterministic.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -13,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.server import JobManager, JobState, make_server
+from repro.server.http import MAX_BODY_BYTES
 
 from .test_manager import Gate, instant_executor, wait_for
 
@@ -125,6 +127,25 @@ class TestErrorStatuses:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10.0)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("1e3", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_is_answered(self, served, length, status):
+        # Headers only: the server must answer from the header alone.
+        base, _ = served
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == status
+            assert "error" in json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
 
     def test_unknown_job_is_404(self, served):
         base, _ = served
