@@ -343,15 +343,18 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from .core.taskgraph import task_graph_from_model
-    from .dse.explore import explore, pareto_front
+    from .dse.explore import ExplorationError, explore, pareto_front
 
     model = _load_model(args.model)
     graph = task_graph_from_model(model)
-    candidates = explore(
-        graph,
-        max_cpus=args.max_cpus,
-        objective=args.objective,
-    )
+    try:
+        candidates = explore(
+            graph,
+            max_cpus=args.max_cpus,
+            objective=args.objective,
+        )
+    except ExplorationError as exc:
+        raise CliError(f"explore failed: {exc}") from exc
     # Report cost through the metrics layer so this line and a
     # --metrics-out file can never disagree.
     metrics = obs.get().metrics

@@ -36,11 +36,14 @@ class TaskGraph:
     """A weighted directed graph of threads.
 
     ``node_weights`` are computation costs; ``edges`` maps ``(src, dst)`` to
-    the communication cost (data volume).
+    the communication cost (data volume).  ``priorities`` (UML-SPT
+    ``SAPriority``, absent = 0) order simultaneously ready nodes: higher
+    first, then by name.
     """
 
     node_weights: Dict[str, float] = field(default_factory=dict)
     edges: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    priorities: Dict[str, int] = field(default_factory=dict)
 
     # -- construction --------------------------------------------------------
     def add_node(self, name: str, weight: float = 1.0) -> None:
@@ -94,11 +97,20 @@ class TaskGraph:
         return order is not None
 
     def topological_order(self) -> Optional[List[str]]:
-        """Kahn topological sort; ``None`` when the graph is cyclic."""
+        """Kahn topological sort; ``None`` when the graph is cyclic.
+
+        Ready nodes are taken by ``(-priority, name)``.
+        """
+        priorities = self.priorities
+
+        def by_priority(name: str) -> Tuple[int, str]:
+            return (-priorities.get(name, 0), name)
+
+        rank = by_priority if priorities else None  # None: plain name order
         indegree = {node: 0 for node in self.node_weights}
         for (_, dst) in self.edges:
             indegree[dst] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
+        ready = sorted((n for n, d in indegree.items() if d == 0), key=rank)
         order: List[str] = []
         while ready:
             node = ready.pop(0)
@@ -108,7 +120,7 @@ class TaskGraph:
                     indegree[dst] -= 1
                     if indegree[dst] == 0:
                         ready.append(dst)
-            ready.sort()
+            ready.sort(key=rank)
         if len(order) != len(self.node_weights):
             return None
         return order
@@ -118,8 +130,9 @@ class TaskGraph:
 
         Returns ``(dag, member_of)`` where ``member_of`` maps each original
         node to its super-node name.  Super-node weight is the sum of member
-        weights; intra-SCC edge costs are dropped (threads in one SCC will
-        be co-allocated anyway); inter-SCC edges accumulate.
+        weights and its priority the highest member priority; intra-SCC
+        edge costs are dropped (threads in one SCC will be co-allocated
+        anyway); inter-SCC edges accumulate.
         """
         sccs = self._tarjan()
         member_of: Dict[str, str] = {}
@@ -129,6 +142,10 @@ class TaskGraph:
             for node in scc:
                 member_of[node] = label
             dag.add_node(label, sum(self.node_weights[n] for n in scc))
+            if self.priorities:
+                dag.priorities[label] = max(
+                    self.priorities.get(n, 0) for n in scc
+                )
         for (src, dst), weight in self.edges.items():
             a, b = member_of[src], member_of[dst]
             if a != b:

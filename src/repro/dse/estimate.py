@@ -4,21 +4,38 @@
 development flow to automatically determine the best partitioning and
 mapping solution."
 
-This module estimates the cost of a thread→CPU allocation *directly on the
-task graph*, without synthesizing the CAAM — fast enough to sit inside a
-design-space-exploration loop (:mod:`repro.dse.explore`).  The model:
+This module holds the project's one makespan model.  It estimates the
+cost of a thread→CPU allocation *directly on the task graph*, without
+synthesizing the CAAM — fast enough to sit inside a
+design-space-exploration loop (:mod:`repro.dse.explore`).  The §4.2.3
+ablation's :func:`repro.mpsoc.schedule.schedule_caam` and
+:func:`repro.mpsoc.schedule.steady_state_interval` derive a task graph
+from a synthesized CAAM and call the same kernel.  The model:
 
-- computation: a thread costs ``node_weight × cycles_per_unit`` on its CPU;
-- communication: a task-graph edge costs the platform channel price of its
-  data volume — intra-CPU (SWFIFO) when co-located, inter-CPU (GFIFO,
-  latency + per-word) otherwise;
-- makespan: list scheduling of the (DAG-condensed) task graph honouring
-  precedence, channel delays and per-CPU serialization — the same
-  discipline as :func:`repro.mpsoc.schedule.schedule_caam`, two orders of
-  magnitude cheaper because no model is built.
+- durations: a node costs ``node_weight × cycles_per_unit`` cycles on its
+  CPU (the CAAM adapter weighs a thread by its functional blocks × its
+  CPU's ``cycles_per_block`` and passes ``cycles_per_unit=1``);
+- channel delays: an edge carries the summed bits of every channel
+  between one producer and one consumer and pays the platform price of
+  that volume once — intra-CPU (SWFIFO, per word) when co-located,
+  inter-CPU (GFIFO, bus latency + per word) otherwise;
+- cycle rule: strongly connected components are condensed into
+  super-nodes (the rule :mod:`repro.core.clustering` uses) whose members
+  run back-to-back, in name order, on the CPU of the name-first member;
+  an edge between two super-nodes delays by its costliest member edge;
+- order: Kahn order over the condensed graph, simultaneously ready nodes
+  taken by ``(-SAPriority, name)`` (:attr:`TaskGraph.priorities`; a
+  super-node has its highest member priority; sequence-diagram graphs
+  carry none, so name order);
+- makespan: list scheduling in that order — a node starts once its CPU
+  is free and every predecessor has finished plus the edge delay; the
+  makespan is the latest finish;
+- interval: the steady-state initiation interval is the busiest CPU's
+  per-iteration work, its durations plus the delays of the edges it
+  produces.
 
-The estimate is calibrated against the full CAAM schedule by the tests
-(same winner ordering on the paper's synthetic example).
+:func:`estimate_allocations` replays the scalar kernel over many plans at
+once, bit-identically.
 """
 
 from __future__ import annotations
@@ -111,7 +128,7 @@ class _GraphTables:
     per-candidate ``sorted(group)[0]``.
     """
 
-    fingerprint: Tuple[tuple, tuple]
+    fingerprint: Tuple[tuple, tuple, tuple]
     member_of: Dict[str, str]
     members: Dict[str, List[str]]
     anchors: Dict[str, str]
@@ -128,8 +145,12 @@ class _GraphTables:
 _TABLE_CACHE: Dict[int, _GraphTables] = {}
 
 
-def _graph_fingerprint(graph: TaskGraph) -> Tuple[tuple, tuple]:
-    return (tuple(graph.node_weights.items()), tuple(graph.edges.items()))
+def _graph_fingerprint(graph: TaskGraph) -> Tuple[tuple, tuple, tuple]:
+    return (
+        tuple(graph.node_weights.items()),
+        tuple(graph.edges.items()),
+        tuple(graph.priorities.items()),
+    )
 
 
 def _tables_for(graph: TaskGraph) -> _GraphTables:
@@ -208,6 +229,16 @@ def estimate_allocation(
     an estimation over a partial mapping would silently mislead the
     explorer.
     """
+    return _estimate(graph, plan, platform, cycles_per_unit)[0]
+
+
+def _estimate(
+    graph: TaskGraph,
+    plan: DeploymentPlan,
+    platform: Optional[Platform],
+    cycles_per_unit: float,
+) -> Tuple[CostEstimate, _GraphTables, Dict[str, float]]:
+    """The estimate, the graph's tables and each super-node's start."""
     for node in graph.node_weights:
         if not plan.has_thread(node):
             raise EstimationError(f"thread {node!r} has no CPU in the plan")
@@ -230,7 +261,7 @@ def estimate_allocation(
             inter += cost
         delays[(src, dst)] = cost
 
-    makespan = _schedule_tables(tables, super_duration, plan, delays)
+    start, finish = _schedule_tables(tables, super_duration, plan, delays)
     busy: Dict[str, float] = {}
     for node, cycles in duration.items():
         cpu = plan.cpu_of(node)
@@ -238,8 +269,8 @@ def estimate_allocation(
     for (src, _dst), cost in delays.items():
         cpu = plan.cpu_of(src)
         busy[cpu] = busy.get(cpu, 0.0) + cost
-    return CostEstimate(
-        makespan_cycles=makespan,
+    estimate = CostEstimate(
+        makespan_cycles=max(finish.values(), default=0.0),
         computation_cycles=computation,
         inter_cpu_cycles=inter,
         intra_cpu_cycles=intra,
@@ -248,6 +279,7 @@ def estimate_allocation(
         ),
         interval_cycles=max(busy.values(), default=0.0),
     )
+    return estimate, tables, start
 
 
 def estimate_allocations(
@@ -429,13 +461,15 @@ def _schedule_tables(
     super_duration: Dict[str, float],
     plan: DeploymentPlan,
     delays: Dict[Tuple[str, str], float],
-) -> float:
-    """Makespan of list scheduling the (condensed) graph on the plan.
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Start and finish of each super-node, list-scheduled on the plan.
 
     Only the plan-dependent pieces run here: super-node placement (the
     members' CPU — SCC members are co-located by any sane plan; if not,
-    the anchor member's CPU is used and the internal edges are charged as
-    intra anyway), inter-super-node delays, and the schedule sweep itself.
+    the anchor member's CPU runs them all and the internal edges delay
+    nothing), inter-super-node delays, and the schedule sweep itself.
+    This is the one scalar list-scheduling loop; ``estimate_allocations``
+    is its vectorized twin.
     """
     member_of = tables.member_of
     cpu_of = {
@@ -455,34 +489,15 @@ def _schedule_tables(
 
     earliest = {label: 0.0 for label in super_duration}
     cpu_free: Dict[str, float] = {}
+    start: Dict[str, float] = {}
     finish: Dict[str, float] = {}
     for label in tables.order:
         cpu = cpu_of[label]
-        start = max(earliest[label], cpu_free.get(cpu, 0.0))
-        end = start + super_duration[label]
+        begin = start[label] = max(earliest[label], cpu_free.get(cpu, 0.0))
+        end = begin + super_duration[label]
         cpu_free[cpu] = end
         finish[label] = end
         for successor, cost in out_delays.get(label, ()):
             earliest[successor] = max(earliest[successor], end + cost)
-    return max(finish.values(), default=0.0)
+    return start, finish
 
-
-def _list_schedule(
-    graph: TaskGraph,
-    plan: DeploymentPlan,
-    duration: Dict[str, float],
-    delays: Dict[Tuple[str, str], float],
-) -> float:
-    """Compatibility wrapper: schedule via the per-graph table cache.
-
-    ``duration`` must cover every graph node (as :func:`estimate_allocation`
-    always provided); super-node durations are recomputed from it rather
-    than the per-unit cache, since arbitrary callers may pass arbitrary
-    durations.
-    """
-    tables = _tables_for(graph)
-    super_duration = {
-        label: sum(duration[m] for m in group)
-        for label, group in tables.members.items()
-    }
-    return _schedule_tables(tables, super_duration, plan, delays)

@@ -273,6 +273,14 @@ def _evaluate_many(
     return [memo[key] for key in keys]
 
 
+def _check_max_cpus(max_cpus: Optional[int]) -> None:
+    """Reject a CPU budget no allocation can meet."""
+    if max_cpus is not None and max_cpus < 1:
+        raise ExplorationError(
+            f"max_cpus must be at least 1, not {max_cpus!r}"
+        )
+
+
 def exhaustive_explore(
     graph: TaskGraph,
     *,
@@ -289,6 +297,7 @@ def exhaustive_explore(
     makespan, ``"throughput"`` minimizes the steady-state initiation
     interval (the right goal for streaming pipelines).
     """
+    _check_max_cpus(max_cpus)
     threads = sorted(graph.node_weights)
     if len(threads) > limit_threads:
         raise ExplorationError(
@@ -325,6 +334,7 @@ def greedy_explore(
     evaluation memo (neighbourhoods overlap between iterations), which
     never changes any result.
     """
+    _check_max_cpus(max_cpus)
     seed_clusters = [
         list(c) for c in linear_clustering(graph).clusters
     ]

@@ -20,7 +20,6 @@ from .schedule import (
     steady_state_interval,
     ScheduleError,
     ScheduledTask,
-    compare_plans,
     schedule_caam,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "ScheduleError",
     "ScheduledTask",
     "communication_cost",
-    "compare_plans",
     "functional_blocks",
     "iteration_estimate",
     "load_report",

@@ -1,12 +1,16 @@
 """Static scheduling of a CAAM on an MPSoC platform.
 
-Estimates the makespan of one model iteration: threads are tasks, channels
-are precedence edges with communication delays (cheap intra-CPU, expensive
-inter-CPU), and each CPU executes its threads sequentially.  The scheduler
-is classic list scheduling with fixed thread→CPU placement — enough to
-compare deployment plans, which is what the §4.2.3 ablation needs: the
-linear-clustering allocation should beat round-robin/random placements
-because it keeps the critical path on one CPU.
+Estimates one model iteration of a synthesized CAAM: threads are tasks,
+channels are precedence edges with communication delays (cheap intra-CPU,
+expensive inter-CPU), and each CPU executes its threads sequentially —
+what the §4.2.3 ablation needs to show that the linear-clustering
+allocation beats round-robin/random placements.
+
+This module is an adapter: it derives a task graph and deployment plan
+from the CAAM and runs the one makespan model of
+:mod:`repro.dse.estimate` (whose docstring states the cost model), so the
+ablation and the design-space explorer cannot rank plans differently for
+the same inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..simulink.caam import GFIFO, CaamModel
+from ..core.taskgraph import TaskGraph
+from ..dse import estimate as _kernel
+from ..simulink.caam import CaamModel
+from ..uml.deployment import DeploymentPlan
 from .metrics import functional_blocks
 from .platform import Platform
 
@@ -74,13 +81,13 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _caam_dependencies(caam: CaamModel) -> List[Tuple[str, str, str, int]]:
-    """(producer thread, consumer thread, protocol, width) per channel.
+def _caam_dependencies(caam: CaamModel) -> List[Tuple[str, str, int]]:
+    """(producer thread, consumer thread, width) per channel.
 
     Reconstructed from the channel wiring: the channel input is driven by a
     thread (or CPU boundary port) and its output feeds another.
     """
-    dependencies: List[Tuple[str, str, str, int]] = []
+    dependencies: List[Tuple[str, str, int]] = []
     thread_names = {t.name for t in caam.threads()}
 
     def trace_thread(system, port, direction: str) -> Optional[str]:
@@ -109,7 +116,6 @@ def _caam_dependencies(caam: CaamModel) -> List[Tuple[str, str, str, int]]:
     for channel in caam.channels():
         system = channel.parent
         assert system is not None
-        protocol = str(channel.parameters.get("Protocol", "SWFIFO"))
         width = int(channel.parameters.get("DataWidthBits", 32))
         producer: Optional[str] = None
         consumer: Optional[str] = None
@@ -120,95 +126,56 @@ def _caam_dependencies(caam: CaamModel) -> List[Tuple[str, str, str, int]]:
             for dest in line.destinations:
                 consumer = consumer or trace_thread(system, dest, "consumer")
         if producer and consumer:
-            dependencies.append((producer, consumer, protocol, width))
+            dependencies.append((producer, consumer, width))
     return dependencies
+
+
+def _caam_task_graph(
+    caam: CaamModel, platform: Platform
+) -> Tuple[TaskGraph, DeploymentPlan]:
+    """The CAAM as the kernel's inputs.
+
+    A thread weighs its functional blocks × its CPU's ``cycles_per_block``
+    (so heterogeneous platforms stay exact at ``cycles_per_unit=1``) and
+    carries its Thread-SS ``SAPriority``; the channels between one
+    producer and one consumer become one edge of their summed widths.
+    """
+    graph = TaskGraph()
+    mapping: Dict[str, str] = {}
+    for thread in caam.threads():
+        cpu = mapping[thread.name] = caam.cpu_of_thread(thread.name).name
+        graph.add_node(
+            thread.name,
+            len(functional_blocks(thread))
+            * platform.processor(cpu).cycles_per_block,
+        )
+        graph.priorities[thread.name] = int(
+            thread.parameters.get("SAPriority", 0)
+        )
+    for producer, consumer, width in _caam_dependencies(caam):
+        graph.add_edge(producer, consumer, float(width))
+    return graph, DeploymentPlan.from_mapping(mapping)
 
 
 def schedule_caam(caam: CaamModel, platform: Platform) -> Schedule:
     """List-schedule one iteration of the CAAM on the platform.
 
-    Thread execution time = functional blocks × ``cycles_per_block`` of its
-    CPU.  A consumer may start only after every producer has finished plus
-    the channel delay.  Cyclic dependencies (feedback over the §4.2.2
-    delays) are broken by ignoring back edges found via a DFS order.
+    A consumer starts only after every producer has finished plus the
+    channel delay.  Threads on a feedback cycle (through the §4.2.2
+    delays) form one super-node: they run back-to-back in name order on
+    the CPU of the name-first member.
     """
-    threads = caam.threads()
-    cpu_of = {t.name: caam.cpu_of_thread(t.name).name for t in threads}
-    duration = {
-        t.name: len(functional_blocks(t))
-        * platform.processor(cpu_of[t.name]).cycles_per_block
-        for t in threads
-    }
-    dependencies = _caam_dependencies(caam)
-    edges: Dict[str, List[Tuple[str, float]]] = {t.name: [] for t in threads}
-    indegree: Dict[str, int] = {t.name: 0 for t in threads}
-    seen_edges = set()
-    for producer, consumer, protocol, width in dependencies:
-        key = (producer, consumer)
-        if key in seen_edges or producer == consumer:
-            continue
-        seen_edges.add(key)
-        delay = platform.channel_cost(protocol, width)
-        edges[producer].append((consumer, delay))
-        indegree[consumer] += 1
-
-    # UML-SPT SAPriority (propagated onto the Thread-SS by the mapping)
-    # orders simultaneously-ready threads: higher priority first.
-    priority = {
-        t.name: int(t.parameters.get("SAPriority", 0)) for t in threads
-    }
-
-    # Break cycles deterministically (lowest-rank stuck node is forced
-    # ready) — feedback edges only exist through §4.2.2 delays.
-    order = _topological_with_cycle_breaking(edges, indegree, priority)
-
-    cpu_available: Dict[str, float] = {}
-    earliest: Dict[str, float] = {name: 0.0 for name in duration}
+    graph, plan = _caam_task_graph(caam, platform)
+    _, tables, start = _kernel._estimate(graph, plan, platform, 1.0)
     tasks: List[ScheduledTask] = []
-    for thread in order:
-        cpu = cpu_of[thread]
-        start = max(earliest[thread], cpu_available.get(cpu, 0.0))
-        finish = start + duration[thread]
-        cpu_available[cpu] = finish
-        tasks.append(ScheduledTask(thread, cpu, start, finish))
-        for consumer, delay in edges[thread]:
-            earliest[consumer] = max(earliest[consumer], finish + delay)
+    for label in tables.order:
+        cpu = plan.cpu_of(tables.anchors[label])
+        clock = start[label]
+        for thread in sorted(tables.members[label]):
+            finish = clock + graph.node_weights[thread]
+            tasks.append(ScheduledTask(thread, cpu, clock, finish))
+            clock = finish
     return Schedule(tasks=tasks)
-
-
-def _topological_with_cycle_breaking(
-    edges: Dict[str, List[Tuple[str, float]]],
-    indegree: Dict[str, int],
-    priority: Optional[Dict[str, int]] = None,
-) -> List[str]:
-    """Tasks in dependency order.
-
-    Ready tasks are ranked by (descending SAPriority, name); cycles are
-    broken by forcing the best-ranked stuck node ready.
-    """
-    priority = priority or {}
-
-    def rank(name: str) -> Tuple[int, str]:
-        return (-priority.get(name, 0), name)
-
-    indegree = dict(indegree)
-    remaining = set(indegree)
-    order: List[str] = []
-    while remaining:
-        ready = sorted(
-            (n for n in remaining if indegree[n] == 0), key=rank
-        )
-        if not ready:
-            victim = sorted(remaining, key=rank)[0]
-            indegree[victim] = 0
-            ready = [victim]
-        node = ready[0]
-        remaining.discard(node)
-        order.append(node)
-        for consumer, _ in edges[node]:
-            if consumer in remaining and indegree[consumer] > 0:
-                indegree[consumer] -= 1
-    return order
 
 
 def steady_state_interval(caam: CaamModel, platform: Platform) -> float:
@@ -220,25 +187,7 @@ def steady_state_interval(caam: CaamModel, platform: Platform) -> float:
     is the quantity the DAC'07 Motion-JPEG study sweeps against the CPU
     count — more CPUs help until one stage dominates.
     """
-    threads = caam.threads()
-    cpu_of = {t.name: caam.cpu_of_thread(t.name).name for t in threads}
-    busy: Dict[str, float] = {c.name: 0.0 for c in caam.cpus()}
-    for thread in threads:
-        cpu = cpu_of[thread.name]
-        busy[cpu] += (
-            len(functional_blocks(thread))
-            * platform.processor(cpu).cycles_per_block
-        )
-    for producer, _consumer, protocol, width in _caam_dependencies(caam):
-        busy[cpu_of[producer]] += platform.channel_cost(protocol, width)
-    return max(busy.values(), default=0.0)
-
-
-def compare_plans(
-    caams: Dict[str, CaamModel], platform_of: Dict[str, Platform]
-) -> Dict[str, float]:
-    """Makespans of several synthesized variants (ablation helper)."""
-    return {
-        label: schedule_caam(caam, platform_of[label]).makespan
-        for label, caam in caams.items()
-    }
+    graph, plan = _caam_task_graph(caam, platform)
+    return _kernel.estimate_allocation(
+        graph, plan, platform, cycles_per_unit=1.0
+    ).interval_cycles

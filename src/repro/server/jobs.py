@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import threading
 import time
 import uuid
@@ -158,6 +159,8 @@ class JobSpec:
                 f"unknown {self.kind} option(s) {', '.join(map(repr, unknown))}; "
                 f"valid options are {', '.join(sorted(allowed))}"
             )
+        if self.kind == "explore":
+            _check_explore_options(self.options)
         if self.timeout_s is not None and (
             not isinstance(self.timeout_s, (int, float)) or self.timeout_s <= 0
         ):
@@ -194,6 +197,40 @@ class JobSpec:
             options=raw.get("options") or {},
             timeout_s=raw.get("timeout_s"),
         ).validate()
+
+
+def _check_explore_options(options: Dict[str, Any]) -> None:
+    """Reject explore option values the explorer cannot take.
+
+    ``type(...)`` tests keep ``true``/``false`` out of the numbers.  NaN
+    and infinities are refused too: JSON parsers accept them, but they
+    would come back as ``NaN`` metrics, which is not JSON.
+    """
+    objective = options.get("objective", "latency")
+    if objective not in ("latency", "throughput"):
+        raise SpecError(
+            f"'objective' must be 'latency' or 'throughput', not {objective!r}"
+        )
+    max_cpus = options.get("max_cpus")
+    if max_cpus is not None and not (type(max_cpus) is int and max_cpus >= 1):
+        raise SpecError(
+            f"'max_cpus' must be null or an integer >= 1, not {max_cpus!r}"
+        )
+    threshold = options.get("exhaustive_threshold", 8)
+    if not (type(threshold) is int and threshold >= 0):
+        raise SpecError(
+            "'exhaustive_threshold' must be an integer >= 0, "
+            f"not {threshold!r}"
+        )
+    unit = options.get("cycles_per_unit", 50.0)
+    try:
+        valid = type(unit) in (int, float) and 0 < float(unit) < math.inf
+    except OverflowError:  # an integer too large for a float
+        valid = False
+    if not valid:
+        raise SpecError(
+            f"'cycles_per_unit' must be a finite number > 0, not {unit!r}"
+        )
 
 
 @dataclass

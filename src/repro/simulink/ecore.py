@@ -24,7 +24,10 @@ class EcoreError(SimulinkError):
     """Raised on malformed E-core input."""
 
 
-_ATTR_SPECIALS = re.compile('[&<>"\r\n\t]')
+#: Characters XML 1.0 cannot carry at all, escaped or not.
+_XML_FORBIDDEN = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_ATTR_SPECIALS = re.compile(f'[&<>"\r\n\t{_XML_FORBIDDEN}]')
+_ATTR_FORBIDDEN = re.compile(f"[{_XML_FORBIDDEN}]")
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
     "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
@@ -32,9 +35,18 @@ _ATTR_ESCAPES = str.maketrans({
 
 
 def _attr(text: str) -> str:
-    """Escape an attribute value exactly as ``xml.etree`` serializes it."""
+    """Escape an attribute value exactly as ``xml.etree`` serializes it.
+
+    A value XML 1.0 cannot represent raises :class:`EcoreError`, since
+    :func:`from_ecore_string` would reject the printed document.
+    """
     if _ATTR_SPECIALS.search(text) is None:
         return text
+    forbidden = _ATTR_FORBIDDEN.search(text)
+    if forbidden is not None:
+        raise EcoreError(
+            f"cannot print {text!r}: XML 1.0 forbids {forbidden.group()!r}"
+        )
     return text.translate(_ATTR_ESCAPES)
 
 
@@ -84,13 +96,16 @@ def _print_system(out: List[str], system: System, pad: str) -> None:
     inner, child = pad + "  ", pad + "    "
     for block in system.blocks:
         block_start = len(out)
-        out.append(
-            f'{inner}<block name="{_attr(block.name)}" type="{_attr(block.block_type)}"'
-            f' inputs="{block.num_inputs}" outputs="{block.num_outputs}">'
-        )
-        _print_parameters(out, block.parameters, child)
-        if isinstance(block, SubSystem):
-            _print_system(out, block.system, child)
+        try:
+            out.append(
+                f'{inner}<block name="{_attr(block.name)}" type="{_attr(block.block_type)}"'
+                f' inputs="{block.num_inputs}" outputs="{block.num_outputs}">'
+            )
+            _print_parameters(out, block.parameters, child)
+            if isinstance(block, SubSystem):
+                _print_system(out, block.system, child)
+        except EcoreError as exc:
+            raise EcoreError(f"block {block.name!r}: {exc}") from None
         _close(out, block_start, inner, "block")
     for line in system.lines:
         line_start = len(out)

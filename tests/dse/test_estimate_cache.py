@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.core import TaskGraph
 from repro.dse import estimate_allocation
-from repro.dse.estimate import _TABLE_CACHE, _list_schedule, _tables_for
+from repro.dse.estimate import _TABLE_CACHE, _tables_for
 from repro.uml import DeploymentPlan
 
 
@@ -89,21 +89,3 @@ class TestTableCache:
         assert metrics.counter("dse.estimate.table_misses") == 1
         assert metrics.counter("dse.estimate.table_hits") == 1
 
-
-class TestListScheduleWrapper:
-    def test_wrapper_matches_estimate(self):
-        # The compatibility wrapper recomputes super-node durations from
-        # the caller's table and must agree with the cached fast path.
-        from repro.dse.estimate import default_platform
-
-        graph = _graph()
-        plan = _plan(A="CPU0", B="CPU1", C="CPU0")
-        platform = default_platform(plan.cpus)
-        duration = {name: weight * 50 for name, weight in graph.node_weights.items()}
-        delays = {}
-        for (src, dst), bits in graph.edges.items():
-            protocol = "SWFIFO" if plan.co_located(src, dst) else "GFIFO"
-            delays[(src, dst)] = platform.channel_cost(protocol, int(bits))
-        makespan = _list_schedule(graph, plan, duration, delays)
-        estimate = estimate_allocation(graph, plan, cycles_per_unit=50)
-        assert makespan == estimate.makespan_cycles

@@ -112,6 +112,31 @@ class TestErrorStatuses:
         assert status == 400
         assert "unknown job kind" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"objective": "speed"},
+            {"max_cpus": 0},
+            {"max_cpus": "2"},
+            {"exhaustive_threshold": "8"},
+            {"cycles_per_unit": "x"},
+            {"cycles_per_unit": -50},
+            {"cycles_per_unit": float("nan")},
+        ],
+    )
+    def test_bad_explore_option_is_400(self, served, options):
+        # ``json.dumps`` writes NaN as the bare ``NaN`` token, which the
+        # server's parser accepts: the spec check must still refuse it.
+        base, manager = served
+        status, _, doc = request(
+            "POST",
+            f"{base}/jobs",
+            {"kind": "explore", "demo": "synthetic", "options": options},
+        )
+        assert status == 400
+        assert repr(next(iter(options))) in doc["error"]
+        assert manager.jobs() == []
+
     def test_invalid_json_is_400(self, served):
         base, _ = served
         req = urllib.request.Request(

@@ -197,3 +197,27 @@ class TestErrors:
 </caam:Model>"""
         with pytest.raises(EcoreError, match="no destination"):
             from_ecore_string(text)
+
+
+class TestForbiddenCharacters:
+    """XML 1.0 cannot carry these characters even as references, so the
+    printer refuses them instead of writing a document its own parser
+    rejects."""
+
+    @pytest.mark.parametrize("char", ["\x00", "\x0b", "\x0c", "\x1f", "\ufffe"])
+    def test_block_name_is_rejected_and_named(self, char):
+        model = SimulinkModel("m")
+        model.root.add(Block(f"a{char}b", "Gain"))
+        with pytest.raises(EcoreError, match="block 'a.*b'.*XML 1.0 forbids"):
+            to_ecore_string(model)
+
+    def test_nested_parameter_value_names_its_blocks(self):
+        model = SimulinkModel("m")
+        outer = model.root.add(SubSystem("outer"))
+        outer.system.add(Block("g", "Gain", parameters={"Label": "x\x0by"}))
+        with pytest.raises(EcoreError, match="block 'outer': block 'g':"):
+            to_ecore_string(model)
+
+    def test_model_name_is_rejected(self):
+        with pytest.raises(EcoreError, match="XML 1.0 forbids"):
+            to_ecore_string(SimulinkModel("m\x01"))

@@ -280,6 +280,10 @@ class TestAllocateAndExplore:
     def test_explore_with_budget(self, crane_xmi, capsys):
         assert main(["explore", crane_xmi, "--max-cpus", "1"]) == 0
 
+    def test_explore_with_zero_budget_is_a_usage_error(self, crane_xmi, capsys):
+        assert main(["explore", crane_xmi, "--max-cpus", "0"]) == 2
+        assert "max_cpus must be at least 1" in capsys.readouterr().err
+
 
 class TestCsvAndPartition:
     def test_simulate_csv_output(self, didactic_xmi, tmp_path, capsys):
