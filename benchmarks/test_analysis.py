@@ -3,12 +3,72 @@
 The analyzer is the lint gate every model in the zoo sweep passes
 through, so its cost per model matters: this benchmark reports models/sec
 for the full five-pass pipeline on a fixed-seed corpus plus the per-pass
-wall-time breakdown.  The numbers land in the ``"analysis"`` section of
-``BENCH_obs.json`` (schema checked by ``tools/validate_trace.py
---bench``).
+wall-time breakdown.
 """
 
-from benchmarks.conftest import ANALYSIS_COUNT, ANALYSIS_SEED
+import time
+
+import pytest
+
+from repro import obs
+from repro.analysis import analyze, analyze_synthesized, pass_names
+from repro.apps import crane
+from repro.core import synthesize
+from repro.zoo import generate_corpus
+
+#: Fixed-seed corpus the analyzer throughput benchmark sweeps.
+ANALYSIS_SEED = 42
+ANALYSIS_COUNT = 30
+
+
+@pytest.fixture(scope="module")
+def analysis_bench():
+    """Analyze crane and every corpus model; time the passes.
+
+    Synthesis is done up front (the analyzer is the unit under test, not
+    the flow); per-pass wall time comes from the ``analysis.pass.*`` obs
+    timers, the ones any enabled recorder sees.
+    """
+    recorder = obs.Recorder()
+    with obs.use(recorder):
+        start = time.perf_counter()
+        crane_report = analyze_synthesized(crane.build_model())
+        crane_s = time.perf_counter() - start
+
+        pairs = []
+        for scenario in generate_corpus(ANALYSIS_SEED, ANALYSIS_COUNT):
+            result = synthesize(
+                scenario.model,
+                auto_allocate=scenario.params.auto_allocate,
+                behaviors=scenario.behaviors,
+            )
+            pairs.append((scenario, result.caam))
+        diagnostics = 0
+        errors = 0
+        start = time.perf_counter()
+        for scenario, caam in pairs:
+            report = analyze(
+                scenario.model, caam, subject=scenario.params.name
+            )
+            diagnostics += len(report.diagnostics)
+            errors += len(report.at_or_above("error"))
+        corpus_s = time.perf_counter() - start
+
+    passes = {}
+    for name in pass_names():
+        stat = recorder.metrics.timer_stat(f"analysis.pass.{name}")
+        if stat is not None:
+            passes[name] = {"calls": stat.count, "total_s": stat.total}
+    return {
+        "corpus_seed": ANALYSIS_SEED,
+        "corpus_models": ANALYSIS_COUNT,
+        "models_per_sec": ANALYSIS_COUNT / corpus_s,
+        "diagnostics": diagnostics,
+        "error_diagnostics": errors,
+        "crane_analyze_s": crane_s,
+        "crane_clean": crane_report.clean,
+        "passes": passes,
+    }
 
 
 def test_analyze_the_zoo(analysis_bench, paper_report):

@@ -5,11 +5,61 @@ waits — but the serving layer must also hold up under batches, so this
 benchmark sweeps the admission-queue depth (1, 8, 64) with two workers
 and a warm synthesis cache and records jobs/sec plus p50/p95 per-job
 latency (submission to terminal state, the ``server.job.latency``
-histogram).  The same numbers land in the ``server`` section of
-``BENCH_obs.json`` via the session-scoped fixture.
+histogram).
 """
 
-from conftest import SERVER_QUEUE_DEPTHS
+import time
+
+import pytest
+
+from repro.apps import didactic
+from repro.core import synthesize
+from repro.parallel import cache
+from repro.server import JobManager, JobSpec
+
+#: Admission-queue depths the server benchmark sweeps.
+SERVER_QUEUE_DEPTHS = (1, 8, 64)
+
+
+@pytest.fixture(scope="module")
+def server_bench():
+    """Jobs/sec and latency percentiles per queue depth.
+
+    The synthesis cache is primed first so each job's cost is dominated by
+    the server machinery (admission, scheduling, completion bookkeeping),
+    not by synthesis itself.
+    """
+    state = cache.snapshot()
+    depths = {}
+    try:
+        cache.configure(enabled=True)
+        synthesize(didactic.build_model())  # warm the content cache
+        for depth in SERVER_QUEUE_DEPTHS:
+            manager = JobManager(workers=2, queue_depth=depth).start()
+            try:
+                start = time.perf_counter()
+                jobs = [
+                    manager.submit(JobSpec(kind="synthesize", demo="didactic"))
+                    for _ in range(depth)
+                ]
+                while not all(job.state.terminal for job in jobs):
+                    time.sleep(0.002)
+                elapsed = time.perf_counter() - start
+                stat = manager.metrics.histogram_stat("server.job.latency")
+                depths[str(depth)] = {
+                    "jobs": depth,
+                    "done": sum(
+                        1 for job in jobs if job.state.value == "done"
+                    ),
+                    "jobs_per_sec": depth / elapsed,
+                    "p50_latency_s": stat.percentile(0.50) if stat else None,
+                    "p95_latency_s": stat.percentile(0.95) if stat else None,
+                }
+            finally:
+                manager.shutdown()
+    finally:
+        cache.restore(state)
+    return {"queue_depths": depths}
 
 
 class TestServerThroughput:

@@ -79,19 +79,29 @@ def test_reference_engine_throughput_crane(benchmark, crane_caam):
     assert trace.steps == 100
 
 
-def test_slot_engine_not_slower_than_reference(crane_caam, paper_report):
+#: Per-CAAM 500-step stimulus for the slots-vs-reference gate (synthetic
+#: has no inports).
+ENGINE_GATE_STIMULI = {
+    "crane": {"In1": [0.0] * 500, "In2": [0.0] * 500, "In3": [5.0] * 500},
+    "synthetic": None,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ENGINE_GATE_STIMULI))
+def test_slot_engine_not_slower_than_reference(
+    workload, request, paper_report
+):
     """The perf-smoke gate: the compiled engine must beat the interpreter.
 
     Timed manually (best of 3) rather than through pytest-benchmark so one
     test can compare both engines and fail CI on a regression; the results
     are also asserted bit-identical, making this a one-stop smoke test.
     """
-    stimulus = {
-        "In1": [0.0] * 500, "In2": [0.0] * 500, "In3": [5.0] * 500
-    }
+    caam = request.getfixturevalue(f"{workload}_caam")
+    stimulus = ENGINE_GATE_STIMULI[workload]
 
     def steps_per_sec(engine):
-        simulator = Simulator(crane_caam, engine=engine)
+        simulator = Simulator(caam, engine=engine)
         best = float("inf")
         for _ in range(3):
             simulator.reset()
@@ -104,11 +114,11 @@ def test_slot_engine_not_slower_than_reference(crane_caam, paper_report):
     reference_sps, reference_trace = steps_per_sec(ENGINE_REFERENCE)
     assert slots_trace.to_csv() == reference_trace.to_csv()
     assert slots_sps >= reference_sps, (
-        f"slot engine regressed: {slots_sps:.0f} steps/s vs "
-        f"reference {reference_sps:.0f} steps/s"
+        f"slot engine regressed on {workload}: {slots_sps:.0f} steps/s "
+        f"vs reference {reference_sps:.0f} steps/s"
     )
     paper_report(
-        "slot-compiled vs reference engine (crane, 500 steps)",
+        f"slot-compiled vs reference engine ({workload}, 500 steps)",
         [
             ("slots steps/s", "n/a", f"{slots_sps:,.0f}"),
             ("reference steps/s", "n/a", f"{reference_sps:,.0f}"),

@@ -3,13 +3,76 @@
 The zoo generator emits a fixed-seed corpus of full UML scenarios across
 all families; this benchmark pushes every one through ``synthesize()``
 twice — cold (cache disabled) and warm (content-addressed cache primed) —
-and reports models/sec for both.  The numbers land in the ``"zoo"``
-section of ``BENCH_obs.json`` (written by ``pytest_sessionfinish``), so
-the ROADMAP bench trajectory can track whole-flow throughput across PRs
-on an identical workload (pinned by the corpus digest).
+and reports models/sec for both.  The corpus digest pins the workload.
 """
 
-from benchmarks.conftest import ZOO_COUNT, ZOO_SEED
+import time
+
+import pytest
+
+from repro.core import synthesize
+from repro.parallel import cache
+from repro.zoo import FAMILIES, build_manifest, generate_corpus
+
+#: Fixed-seed corpus the "synthesize the zoo" benchmark runs.
+ZOO_SEED = 42
+ZOO_COUNT = 60
+
+
+@pytest.fixture(scope="module")
+def zoo_bench():
+    """Time full-flow synthesis over the corpus, cold then warm cache.
+
+    Generation is excluded from the timings, and synthesis runs *without*
+    behaviors: attaching callables bypasses the content-addressed cache by
+    design, and the structural flow is what is measured.
+    """
+    scenarios = list(generate_corpus(ZOO_SEED, ZOO_COUNT))
+    state = cache.snapshot()
+    try:
+        cache.configure(enabled=False)
+        start = time.perf_counter()
+        cold_mdls = [
+            synthesize(
+                scenario.model,
+                auto_allocate=scenario.params.auto_allocate,
+            ).mdl_text
+            for scenario in scenarios
+        ]
+        cold_s = time.perf_counter() - start
+
+        cache.configure(enabled=True)
+        for scenario in scenarios:  # populate
+            synthesize(
+                scenario.model,
+                auto_allocate=scenario.params.auto_allocate,
+            )
+        hits = 0
+        warm_mdls = []
+        start = time.perf_counter()
+        for scenario in scenarios:
+            result = synthesize(
+                scenario.model,
+                auto_allocate=scenario.params.auto_allocate,
+            )
+            warm_mdls.append(result.mdl_text)
+            status = result.obs.parallel.get("cache", {}).get("status")
+            hits += 1 if status == "hit" else 0
+        warm_s = time.perf_counter() - start
+    finally:
+        cache.restore(state)
+
+    return {
+        "seed": ZOO_SEED,
+        "models": ZOO_COUNT,
+        "families": list(FAMILIES),
+        "corpus_digest": build_manifest(ZOO_SEED, ZOO_COUNT)["corpus_digest"],
+        "models_per_sec_cold": ZOO_COUNT / cold_s,
+        "models_per_sec_warm": ZOO_COUNT / warm_s,
+        "cache_speedup": cold_s / warm_s,
+        "warm_hit_rate": hits / ZOO_COUNT,
+        "artifacts_identical": warm_mdls == cold_mdls,
+    }
 
 
 def test_synthesize_the_zoo(zoo_bench, paper_report):

@@ -647,36 +647,6 @@ def _cmd_zoo_run(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_zoo_bench(args: argparse.Namespace) -> int:
-    """Synthesize the zoo: corpus models/sec, cold and warm cache."""
-    import json
-
-    from .zoo import measure_zoo
-
-    stats = measure_zoo(args.seed, args.count, _zoo_families(args.families))
-    if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"synthesize the zoo: {stats['models']} models "
-        f"(seed {stats['seed']})"
-    )
-    print(
-        f"  cold  {stats['models_per_sec_cold']:8.1f} models/s "
-        f"({stats['cold_s']:.3f}s)"
-    )
-    print(
-        f"  warm  {stats['models_per_sec_warm']:8.1f} models/s "
-        f"({stats['warm_s']:.3f}s, "
-        f"hit rate {stats['warm_hit_rate']:.0%}, "
-        f"speedup {stats['cache_speedup']:.1f}x)"
-    )
-    if not stats["artifacts_identical"]:
-        print("error: warm artifacts differ from cold", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser assembly
 # ---------------------------------------------------------------------------
@@ -1006,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "zoo",
-        help="generated model zoo: corpora, differential harness, benchmark",
+        help="generated model zoo: corpora and differential harness",
     )
     zoo_sub = p.add_subparsers(dest="zoo_command", required=True)
 
@@ -1062,15 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a progress line every 50 scenarios (stderr)",
     )
     zp.set_defaults(handler=_cmd_zoo_run)
-
-    zp = zoo_sub.add_parser(
-        "bench", help='"synthesize the zoo": models/sec cold + warm cache'
-    )
-    _zoo_common(zp)
-    zp.add_argument(
-        "--json", action="store_true", help="print the stats as JSON"
-    )
-    zp.set_defaults(handler=_cmd_zoo_bench)
 
     p = sub.add_parser(
         "partition", help="split a thread into pipeline threads (future work)"

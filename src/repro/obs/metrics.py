@@ -17,7 +17,7 @@ everything the synthesis flow and the simulators need to report:
 
 All values are plain floats/ints and the whole registry serializes with
 :meth:`MetricsRegistry.to_json`, which is what ``repro --metrics-out``
-writes and what ``benchmarks/conftest.py`` persists as ``BENCH_obs.json``.
+writes and what ``GET /metrics`` serves.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ failures ages out of the burn rate after ``window_s`` seconds instead of
 haunting the cumulative ratio forever.  Before the window fills, the
 delta is taken from process start — the conservative reading.
 
-Consumers: ``GET /slo`` on the batch server, ``repro slo-report``,
-``ObservabilityReport.slo``, and the ``"slo"`` section of
-``BENCH_obs.json``.  The document schema is validated by
+Consumers: ``GET /slo`` on the batch server, ``repro slo-report``, and
+``ObservabilityReport.slo``.  The document schema is validated by
 ``tools/validate_trace.py --slo`` and documented in
 ``docs/observability.md``.
 """
@@ -389,8 +388,8 @@ class SloEngine:
         Returns the ``/slo`` document.  With ``publish=True`` the
         per-objective burn rate, budget, and risk are also written back
         into the registry as ``slo.<target>.<objective>.*`` gauges (plus
-        the overall ``slo.risk``), which is how ``/metrics`` and
-        ``BENCH_obs.json`` get enriched without a second evaluation.
+        the overall ``slo.risk``), which is how ``/metrics`` gets
+        enriched without a second evaluation.
         """
         now = time.time() if now is None else now
         records: List[Dict[str, Any]] = []

@@ -140,6 +140,12 @@ class JobSpec:
             raise SpecError(
                 f"unknown job kind {self.kind!r}; expected one of {KINDS}"
             )
+        for name in ("demo", "model_xmi"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise SpecError(
+                    f"'{name}' must be a string, not {type(value).__name__}"
+                )
         if bool(self.demo) == bool(self.model_xmi):
             raise SpecError(
                 "a job needs exactly one model source: 'demo' or 'model_xmi'"
@@ -161,10 +167,13 @@ class JobSpec:
             )
         if self.kind == "explore":
             _check_explore_options(self.options)
-        if self.timeout_s is not None and (
-            not isinstance(self.timeout_s, (int, float)) or self.timeout_s <= 0
-        ):
-            raise SpecError("'timeout_s' must be a positive number")
+        # ``true`` would read as one second, and a NaN deadline never
+        # passes, so the job could outlive the server's own timeout.
+        if self.timeout_s is not None and not _finite_positive(self.timeout_s):
+            raise SpecError(
+                "'timeout_s' must be a finite number > 0, "
+                f"not {self.timeout_s!r}"
+            )
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -199,6 +208,14 @@ class JobSpec:
         ).validate()
 
 
+def _finite_positive(value: Any) -> bool:
+    """True for an int or float, not a bool, strictly between 0 and inf."""
+    try:
+        return type(value) in (int, float) and 0 < float(value) < math.inf
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _check_explore_options(options: Dict[str, Any]) -> None:
     """Reject explore option values the explorer cannot take.
 
@@ -223,11 +240,7 @@ def _check_explore_options(options: Dict[str, Any]) -> None:
             f"not {threshold!r}"
         )
     unit = options.get("cycles_per_unit", 50.0)
-    try:
-        valid = type(unit) in (int, float) and 0 < float(unit) < math.inf
-    except OverflowError:  # an integer too large for a float
-        valid = False
-    if not valid:
+    if not _finite_positive(unit):
         raise SpecError(
             f"'cycles_per_unit' must be a finite number > 0, not {unit!r}"
         )

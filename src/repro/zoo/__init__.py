@@ -7,7 +7,6 @@ strategies for property tests (:mod:`.strategies`).  See
 ``docs/testing.md``.
 """
 
-from .bench import measure_zoo
 from .generator import (
     FAMILIES,
     GENERATOR_VERSION,
@@ -67,7 +66,6 @@ __all__ = [
     "generate_corpus",
     "generate_pathological",
     "generate_scenario",
-    "measure_zoo",
     "read_manifest",
     "render_manifest",
     "run_corpus",

@@ -11,62 +11,8 @@ sys.path.insert(
 )
 from validate_sarif import validate_sarif  # noqa: E402
 from validate_sarif import main as sarif_main  # noqa: E402
-from validate_trace import validate_bench_analysis  # noqa: E402
 
 from repro.analysis import AnalysisReport, make_diagnostic, to_sarif
-
-
-def _bench_analysis():
-    passes = {
-        name: {"calls": 31, "total_s": 0.01}
-        for name in ("structure", "channels", "fsm", "sdf", "dataflow")
-    }
-    return {
-        "analysis": {
-            "corpus_seed": 42,
-            "corpus_models": 30,
-            "corpus_analyze_s": 0.05,
-            "models_per_sec": 600.0,
-            "diagnostics": 7,
-            "error_diagnostics": 0,
-            "crane_analyze_s": 0.008,
-            "crane_clean": True,
-            "passes": passes,
-        }
-    }
-
-
-class TestBenchAnalysis:
-    def test_valid_section_passes(self):
-        validate_bench_analysis(_bench_analysis())
-
-    def test_missing_section(self):
-        with pytest.raises(ValueError, match="lacks an 'analysis' object"):
-            validate_bench_analysis({})
-
-    def test_missing_field(self):
-        document = _bench_analysis()
-        del document["analysis"]["models_per_sec"]
-        with pytest.raises(ValueError, match="models_per_sec"):
-            validate_bench_analysis(document)
-
-    def test_error_findings_fail_the_gate(self):
-        document = _bench_analysis()
-        document["analysis"]["error_diagnostics"] = 3
-        with pytest.raises(ValueError, match="lint gate"):
-            validate_bench_analysis(document)
-
-    def test_missing_pass_timing(self):
-        document = _bench_analysis()
-        del document["analysis"]["passes"]["sdf"]
-        with pytest.raises(ValueError, match="'sdf'"):
-            validate_bench_analysis(document)
-
-    def test_undercounted_pass(self):
-        document = _bench_analysis()
-        document["analysis"]["passes"]["fsm"]["calls"] = 2
-        with pytest.raises(ValueError, match="ran 2 times"):
-            validate_bench_analysis(document)
 
 
 def _sarif_document():

@@ -10,7 +10,6 @@ sys.path.insert(
 )
 from validate_trace import (  # noqa: E402
     main,
-    validate_bench_slo,
     validate_slo,
     validate_span_tree,
 )
@@ -121,48 +120,6 @@ class TestSloValidator:
         document = slo_document(record={"attainment_pct": 120.0})
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             validate_slo(document)
-
-
-class TestBenchSloValidator:
-    def bench(self):
-        return {
-            "slo": {
-                "window_s": 300.0,
-                "targets": {"jobs": {"name": "jobs"}},
-                "queue_depths": {
-                    "8": {
-                        "p50_s": 0.1,
-                        "p95_s": 0.2,
-                        "p99_s": 0.3,
-                        "attainment_pct": 100.0,
-                        "budget_remaining_pct": 100.0,
-                        "burn_rate": 0.0,
-                        "risk": "ok",
-                    }
-                },
-            }
-        }
-
-    def test_valid_section_passes(self):
-        validate_bench_slo(self.bench())
-
-    def test_missing_section_rejected(self):
-        with pytest.raises(ValueError, match="'slo' object"):
-            validate_bench_slo({})
-
-    def test_non_integer_depth_rejected(self):
-        document = self.bench()
-        document["slo"]["queue_depths"]["deep"] = document["slo"][
-            "queue_depths"
-        ].pop("8")
-        with pytest.raises(ValueError, match="integer"):
-            validate_bench_slo(document)
-
-    def test_missing_depth_field_rejected(self):
-        document = self.bench()
-        del document["slo"]["queue_depths"]["8"]["burn_rate"]
-        with pytest.raises(ValueError, match="burn_rate"):
-            validate_bench_slo(document)
 
 
 class TestCli:

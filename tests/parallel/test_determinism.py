@@ -106,6 +106,30 @@ class TestCacheTransparency:
             "reason": "behaviors",
         }
 
+    def test_zoo_corpus_warm_pass_hits_and_matches_cold(self):
+        # Two corpus models per family: a warm pass over a primed cache
+        # hits on every model and prints the cache-off .mdl byte for byte.
+        scenarios = list(generate_corpus(42, 12))
+
+        def run_all():
+            return [
+                synthesize(
+                    scenario.model,
+                    auto_allocate=scenario.params.auto_allocate,
+                )
+                for scenario in scenarios
+            ]
+
+        cache.configure(enabled=False)
+        cold = run_all()
+        cache.configure(enabled=True)
+        run_all()  # populate
+        warm = run_all()
+        assert [r.obs.parallel["cache"]["status"] for r in warm] == [
+            "hit"
+        ] * len(scenarios)
+        assert [r.mdl_text for r in warm] == [r.mdl_text for r in cold]
+
     @settings(max_examples=8, deadline=None)
     @given(threads=st.integers(min_value=1, max_value=4))
     def test_random_models_cold_vs_warm(self, threads):

@@ -18,6 +18,9 @@ from repro.server.http import MAX_BODY_BYTES
 
 from .test_manager import Gate, instant_executor, wait_for
 
+#: An admissible spec the bad-``timeout_s`` cases extend.
+CRANE_SPEC = {"kind": "synthesize", "demo": "crane"}
+
 
 @pytest.fixture()
 def served():
@@ -106,11 +109,33 @@ class TestSubmitAndPoll:
 
 
 class TestErrorStatuses:
-    def test_bad_spec_is_400(self, served):
-        base, _ = served
-        status, _, doc = request("POST", f"{base}/jobs", {"kind": "nope"})
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "nope"}, "unknown job kind"),
+            ({"kind": "synthesize", "model_xmi": 5}, "'model_xmi' must be"),
+            ({"kind": "synthesize", "demo": 5}, "'demo' must be"),
+            ({**CRANE_SPEC, "timeout_s": True}, "'timeout_s' must be"),
+            ({**CRANE_SPEC, "timeout_s": float("nan")}, "'timeout_s' must be"),
+            ({**CRANE_SPEC, "timeout_s": float("inf")}, "'timeout_s' must be"),
+            ({**CRANE_SPEC, "timeout_s": 0}, "'timeout_s' must be"),
+        ],
+        ids=[
+            "unknown-kind",
+            "model_xmi-int",
+            "demo-int",
+            "timeout-bool",
+            "timeout-nan",
+            "timeout-inf",
+            "timeout-zero",
+        ],
+    )
+    def test_bad_spec_is_400(self, served, spec, message):
+        base, manager = served
+        status, _, doc = request("POST", f"{base}/jobs", spec)
         assert status == 400
-        assert "unknown job kind" in doc["error"]
+        assert message in doc["error"]
+        assert manager.jobs() == []
 
     @pytest.mark.parametrize(
         "options",

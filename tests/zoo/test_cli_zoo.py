@@ -1,4 +1,4 @@
-"""The `repro zoo` command: generate / run / bench."""
+"""The `repro zoo` command: generate / run."""
 
 import json
 
@@ -82,18 +82,3 @@ class TestZooRun:
             == 1
         )
         assert "manifest:" in capsys.readouterr().err
-
-
-class TestZooBench:
-    def test_bench_json(self, capsys):
-        assert main(["zoo", "bench", "--count", "6", "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["models"] == 6
-        assert stats["models_per_sec_cold"] > 0
-        assert stats["models_per_sec_warm"] > 0
-        assert stats["warm_hit_rate"] == 1.0
-        assert stats["artifacts_identical"] is True
-
-    def test_bench_summary_line(self, capsys):
-        assert main(["zoo", "bench", "--count", "4"]) == 0
-        assert "synthesize the zoo" in capsys.readouterr().out

@@ -5,7 +5,6 @@ Usage::
 
     python tools/validate_trace.py trace.json [--metrics metrics.json] [--tree]
     python tools/validate_trace.py --slo slo.json
-    python tools/validate_trace.py --bench BENCH_obs.json
 
 Checks the Chrome-trace document (``--trace-out`` output) for Trace Event
 Format conformance — Perfetto loadability — and optionally the metrics
@@ -14,14 +13,8 @@ documented synthesis keys.  ``--tree`` additionally requires the trace's
 spans to form a single rooted tree: every ``args.parent_id`` must resolve
 to another event in the document (no orphan roots from worker threads or
 retries).  ``--slo`` validates a ``GET /slo`` / ``repro slo-report
---json`` document, and ``--bench`` validates the ``"slo"``,
-``"zoo"``, ``"analysis"``, ``"codegen"`` and ``"simbatch"`` sections of
-``BENCH_obs.json`` (server latency objectives, "synthesize the zoo"
-throughput, static-analyzer throughput with its per-pass breakdown,
-static-schedule codegen throughput, and looped-vs-batched simulation
-rates).  Exits non-zero with a message on the
-first violation; CI's smoke jobs run this after real ``repro``
-invocations.
+--json`` document.  Exits non-zero with a message on the first
+violation; CI's smoke jobs run this after real ``repro`` invocations.
 """
 
 from __future__ import annotations
@@ -65,18 +58,6 @@ SLO_RECORD_FIELDS = (
 
 #: Objectives an SLO record may evaluate.
 SLO_OBJECTIVES = ("availability", "p50", "p95", "p99")
-
-#: Per-depth fields the BENCH_obs.json "slo" section must carry.
-BENCH_SLO_DEPTH_FIELDS = (
-    "p50_s",
-    "p95_s",
-    "p99_s",
-    "attainment_pct",
-    "budget_remaining_pct",
-    "burn_rate",
-    "risk",
-)
-
 
 def validate_trace(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a valid span trace."""
@@ -222,260 +203,6 @@ def validate_slo(document: Dict[str, Any]) -> None:
         )
 
 
-def validate_bench_slo(document: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless BENCH_obs.json carries a valid "slo".
-
-    The section declares the targets and, per benchmarked queue depth,
-    the observed p50/p95/p99 with attainment/budget/burn against them.
-    """
-    section = document.get("slo")
-    if not isinstance(section, dict):
-        raise ValueError("BENCH document lacks an 'slo' object")
-    for field in ("window_s", "targets", "queue_depths"):
-        if field not in section:
-            raise ValueError(f"'slo' section lacks {field!r}")
-    if not isinstance(section["targets"], dict) or not section["targets"]:
-        raise ValueError("'slo.targets' must be a non-empty object")
-    depths = section["queue_depths"]
-    if not isinstance(depths, dict) or not depths:
-        raise ValueError("'slo.queue_depths' must be a non-empty object")
-    for depth, entry in depths.items():
-        if not str(depth).isdigit():
-            raise ValueError(f"queue depth {depth!r} is not an integer key")
-        if not isinstance(entry, dict):
-            raise ValueError(f"queue depth {depth}: entry is not an object")
-        for field in BENCH_SLO_DEPTH_FIELDS:
-            if field not in entry:
-                raise ValueError(f"queue depth {depth}: lacks {field!r}")
-        if entry["risk"] not in SLO_RISKS:
-            raise ValueError(
-                f"queue depth {depth}: unknown risk {entry['risk']!r}"
-            )
-
-
-#: Fields the BENCH_obs.json "zoo" section must carry.
-BENCH_ZOO_FIELDS = (
-    "seed",
-    "models",
-    "families",
-    "corpus_digest",
-    "models_per_sec_cold",
-    "models_per_sec_warm",
-    "warm_hit_rate",
-    "cache_speedup",
-    "artifacts_identical",
-)
-
-
-def validate_bench_zoo(document: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless BENCH_obs.json carries a valid "zoo".
-
-    The section reports "synthesize the zoo" throughput — models/sec
-    over a fixed-seed generated corpus, cold and warm cache — plus the
-    corpus digest that pins the workload across PRs.
-    """
-    section = document.get("zoo")
-    if not isinstance(section, dict):
-        raise ValueError("BENCH document lacks a 'zoo' object")
-    for field in BENCH_ZOO_FIELDS:
-        if field not in section:
-            raise ValueError(f"'zoo' section lacks {field!r}")
-    for rate in ("models_per_sec_cold", "models_per_sec_warm"):
-        value = section[rate]
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(f"'zoo.{rate}' must be a positive number")
-    if section["models"] <= 0:
-        raise ValueError("'zoo.models' must be positive")
-    if not section["artifacts_identical"]:
-        raise ValueError(
-            "'zoo.artifacts_identical' is false: warm-cache synthesis "
-            "diverged from the cold flow"
-        )
-    hit_rate = section["warm_hit_rate"]
-    if not isinstance(hit_rate, (int, float)) or not 0.0 <= hit_rate <= 1.0:
-        raise ValueError("'zoo.warm_hit_rate' must be in [0, 1]")
-    if hit_rate < 1.0:
-        raise ValueError(
-            f"'zoo.warm_hit_rate' is {hit_rate}: some corpus models "
-            "missed the primed synthesis cache"
-        )
-
-
-#: Fields the BENCH_obs.json "analysis" section must carry.
-BENCH_ANALYSIS_FIELDS = (
-    "corpus_seed",
-    "corpus_models",
-    "corpus_analyze_s",
-    "models_per_sec",
-    "diagnostics",
-    "error_diagnostics",
-    "crane_analyze_s",
-    "crane_clean",
-    "passes",
-)
-
-#: Passes the analyzer registers by default; each must report a timing.
-BENCH_ANALYSIS_PASSES = ("structure", "channels", "fsm", "sdf", "dataflow")
-
-
-def validate_bench_analysis(document: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless BENCH_obs.json carries a valid "analysis".
-
-    The section reports static-analyzer throughput (models/sec over the
-    fixed-seed corpus) plus a per-pass wall-time breakdown, and asserts
-    the corpus-wide lint gate: zero error-severity findings.
-    """
-    section = document.get("analysis")
-    if not isinstance(section, dict):
-        raise ValueError("BENCH document lacks an 'analysis' object")
-    for field in BENCH_ANALYSIS_FIELDS:
-        if field not in section:
-            raise ValueError(f"'analysis' section lacks {field!r}")
-    rate = section["models_per_sec"]
-    if not isinstance(rate, (int, float)) or rate <= 0:
-        raise ValueError("'analysis.models_per_sec' must be a positive number")
-    if section["corpus_models"] <= 0:
-        raise ValueError("'analysis.corpus_models' must be positive")
-    if section["error_diagnostics"] != 0:
-        raise ValueError(
-            f"'analysis.error_diagnostics' is "
-            f"{section['error_diagnostics']}: the corpus lint gate "
-            f"requires zero error-severity findings"
-        )
-    if not section["crane_clean"]:
-        raise ValueError("'analysis.crane_clean' is false")
-    passes = section["passes"]
-    if not isinstance(passes, dict):
-        raise ValueError("'analysis.passes' must be an object")
-    for name in BENCH_ANALYSIS_PASSES:
-        entry = passes.get(name)
-        if not isinstance(entry, dict):
-            raise ValueError(f"'analysis.passes' lacks pass {name!r}")
-        for field in ("calls", "total_s"):
-            if field not in entry:
-                raise ValueError(
-                    f"'analysis.passes.{name}' lacks {field!r}"
-                )
-        if entry["calls"] < section["corpus_models"]:
-            raise ValueError(
-                f"'analysis.passes.{name}' ran {entry['calls']} times for "
-                f"{section['corpus_models']} corpus models"
-            )
-
-
-#: Fields the BENCH_obs.json "codegen" section must carry.
-BENCH_CODEGEN_FIELDS = (
-    "corpus_seed",
-    "corpus_models",
-    "schedule_s",
-    "emit_s",
-    "models_per_sec_scheduled",
-    "models_per_sec_emitted",
-    "languages",
-    "buffers",
-    "manifest_records",
-    "manifests_verified",
-    "differential",
-)
-
-
-def validate_bench_codegen(document: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless BENCH_obs.json carries a valid "codegen".
-
-    The section reports static-schedule backend throughput (models/sec
-    scheduled and emitted over the fixed-seed corpus), asserts every
-    generated manifest hash-verified, and — when a C compiler was
-    available — that every differential check was bit-identical.
-    """
-    section = document.get("codegen")
-    if not isinstance(section, dict):
-        raise ValueError("BENCH document lacks a 'codegen' object")
-    for field in BENCH_CODEGEN_FIELDS:
-        if field not in section:
-            raise ValueError(f"'codegen' section lacks {field!r}")
-    if section["corpus_models"] <= 0:
-        raise ValueError("'codegen.corpus_models' must be positive")
-    for rate in ("models_per_sec_scheduled", "models_per_sec_emitted"):
-        value = section[rate]
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(f"'codegen.{rate}' must be a positive number")
-    if not section["manifests_verified"]:
-        raise ValueError(
-            "'codegen.manifests_verified' is false: some generated "
-            "manifest failed hash verification"
-        )
-    languages = section["languages"]
-    if not isinstance(languages, list) or "c" not in languages:
-        raise ValueError("'codegen.languages' must be a list containing 'c'")
-    differential = section["differential"]
-    if not isinstance(differential, dict):
-        raise ValueError("'codegen.differential' must be an object")
-    for field in ("checked", "bit_identical", "compiler"):
-        if field not in differential:
-            raise ValueError(f"'codegen.differential' lacks {field!r}")
-    checked = differential["checked"]
-    if checked and differential["bit_identical"] != checked:
-        raise ValueError(
-            f"'codegen.differential': only {differential['bit_identical']} "
-            f"of {checked} checked models were bit-identical"
-        )
-
-
-BENCH_SIMBATCH_ROW_FIELDS = (
-    "looped_steps_per_sec",
-    "batched_steps_per_sec",
-    "speedup",
-    "outputs_identical",
-)
-
-
-def validate_bench_simbatch(document: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless BENCH_obs.json carries a valid "simbatch".
-
-    The section compares looped vs vectorized-batch ``run_many`` steps/sec
-    per batch size; every row must assert the two paths produced
-    byte-identical episode CSVs (the batch engine's contract is exactness,
-    so a divergent row voids the whole measurement).  When NumPy was
-    unavailable the section records ``available: false`` and is otherwise
-    empty.  The ≥10× speedup requirement at batch 512 is CI's perf-smoke
-    gate, not a schema property — a laptop on battery should still be able
-    to regenerate a *valid* document.
-    """
-    section = document.get("simbatch")
-    if not isinstance(section, dict):
-        raise ValueError("BENCH document lacks a 'simbatch' object")
-    if "available" not in section:
-        raise ValueError("'simbatch' section lacks 'available'")
-    sizes = section.get("batch_sizes")
-    if not isinstance(sizes, dict):
-        raise ValueError("'simbatch.batch_sizes' must be an object")
-    if not section["available"]:
-        return
-    for expected in ("1", "32", "512"):
-        if expected not in sizes:
-            raise ValueError(f"'simbatch.batch_sizes' lacks {expected!r}")
-    for size, row in sizes.items():
-        if not isinstance(row, dict):
-            raise ValueError(f"'simbatch.batch_sizes.{size}' must be an object")
-        for field in BENCH_SIMBATCH_ROW_FIELDS:
-            if field not in row:
-                raise ValueError(
-                    f"'simbatch.batch_sizes.{size}' lacks {field!r}"
-                )
-        for rate in ("looped_steps_per_sec", "batched_steps_per_sec"):
-            value = row[rate]
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(
-                    f"'simbatch.batch_sizes.{size}.{rate}' must be a "
-                    f"positive number"
-                )
-        if not row["outputs_identical"]:
-            raise ValueError(
-                f"'simbatch.batch_sizes.{size}': batched and looped "
-                f"episodes diverged — the measurement is void"
-            )
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -489,13 +216,9 @@ def main(argv=None) -> int:
         help="require the trace's spans to form a single rooted tree",
     )
     parser.add_argument("--slo", help="GET /slo report JSON file to validate")
-    parser.add_argument(
-        "--bench",
-        help="BENCH_obs.json whose 'slo' and 'zoo' sections to validate",
-    )
     args = parser.parse_args(argv)
-    if not (args.trace or args.metrics or args.slo or args.bench):
-        parser.error("nothing to validate: give a trace, --slo, or --bench")
+    if not (args.trace or args.metrics or args.slo):
+        parser.error("nothing to validate: give a trace or --slo")
     try:
         if args.trace:
             with open(args.trace, encoding="utf-8") as handle:
@@ -515,19 +238,6 @@ def main(argv=None) -> int:
             with open(args.slo, encoding="utf-8") as handle:
                 validate_slo(json.load(handle))
             print(f"{args.slo}: valid SLO report")
-        if args.bench:
-            with open(args.bench, encoding="utf-8") as handle:
-                bench = json.load(handle)
-            validate_bench_slo(bench)
-            print(f"{args.bench}: valid BENCH slo section")
-            validate_bench_zoo(bench)
-            print(f"{args.bench}: valid BENCH zoo section")
-            validate_bench_analysis(bench)
-            print(f"{args.bench}: valid BENCH analysis section")
-            validate_bench_codegen(bench)
-            print(f"{args.bench}: valid BENCH codegen section")
-            validate_bench_simbatch(bench)
-            print(f"{args.bench}: valid BENCH simbatch section")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
