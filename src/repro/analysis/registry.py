@@ -158,21 +158,27 @@ def analyze_synthesized(
     suppress: Sequence[str] = (),
     require_deployment: bool = False,
     synthesize_options: Optional[Dict[str, Any]] = None,
+    xmi: Optional[str] = None,
 ) -> AnalysisReport:
     """Analyze a UML model end to end: synthesize, then run every pass.
 
     Synthesis runs with ``validate=False`` so broken models still get a
     full front-end report; when the flow itself fails, the CAAM-side
-    passes are skipped and an ``RA108`` warning records why.
+    passes are skipped and an ``RA108`` warning records why.  ``xmi``
+    is the text ``model`` was read from, if any: synthesis is then
+    cached under that text (:func:`repro.core.flow.synthesize_xmi`).
     """
-    from ..core.flow import synthesize
+    from ..core.flow import synthesize, synthesize_xmi
 
     defaults: Dict[str, Any] = {"validate": False}
     defaults.update(synthesize_options or {})
     caam = None
     failure: Optional[str] = None
     try:
-        caam = synthesize(model, **defaults).caam
+        if xmi is None:
+            caam = synthesize(model, **defaults).caam
+        else:
+            caam = synthesize_xmi(xmi, model=model, **defaults).caam
     except Exception as exc:  # noqa: BLE001 - analysis must not crash
         failure = f"{type(exc).__name__}: {exc}"
     report = analyze(

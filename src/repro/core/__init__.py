@@ -41,6 +41,7 @@ from .flow import (
     resolve_plan,
     synthesize,
     synthesize_to_mdl,
+    synthesize_xmi,
 )
 from .mapping import (
     ChannelRequest,
@@ -99,5 +100,6 @@ __all__ = [
     "round_robin_clusters",
     "synthesize",
     "synthesize_to_mdl",
+    "synthesize_xmi",
     "task_graph_from_model",
 ]

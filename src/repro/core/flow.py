@@ -11,6 +11,9 @@ the paper's mapping flow —
    (§4.2.2);
 4. model-to-text generation of the ``.mdl`` file.
 
+:func:`synthesize_xmi` runs the same flow on a model given as XMI text and
+keys the synthesis cache on that text, so a hit skips the parse.
+
 The heterogeneous back-ends of Fig. 1 (FSM code generation for control-flow
 subsystems, multithreaded Java when no Simulink compiler is available) live
 in :mod:`repro.backends` and reuse steps 1–3 of this flow.
@@ -20,18 +23,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import recorder as _obs
 from ..obs.report import ObservabilityReport
 from ..parallel import cache as _syn_cache
-from ..parallel.fingerprint import synthesis_cache_key
+from ..parallel.fingerprint import synthesis_cache_key, xmi_cache_key
 from ..simulink.caam import CaamModel, CaamSummary, validate_caam
 from ..simulink.ecore import to_ecore_string
 from ..simulink.mdl import to_mdl
 from ..uml.deployment import DeploymentPlan
 from ..uml.model import Model
 from ..uml.validate import check_model
+from ..uml.xmi import from_xmi_string
 from .allocation import AllocationResult, allocate_from_model
 from .mapping import MappingError, MappingResult, map_model
 from .optimize import OptimizationPipeline, OptimizationReport
@@ -222,57 +226,139 @@ def synthesize(
         with ``behaviors`` bypass the cache (callables are not
         content-addressable).
     """
-    rec = _obs.get()
-    rec.incr("flow.synthesize.calls")
+    options = {
+        "auto_allocate": auto_allocate,
+        "infer_channels": infer_channels,
+        "insert_barriers": insert_barriers,
+        "layout": layout,
+        "validate": validate,
+        "strict": strict,
+        "name": name,
+    }
+    return _synthesize(
+        lambda: model,
+        lambda: synthesis_cache_key(model, plan, options),
+        plan,
+        options,
+        use_cache,
+        behaviors,
+    )
 
+
+def synthesize_xmi(
+    xmi: str,
+    plan: Optional[DeploymentPlan] = None,
+    *,
+    model: Optional[Model] = None,
+    auto_allocate: bool = False,
+    infer_channels: bool = True,
+    insert_barriers: bool = True,
+    layout: bool = True,
+    validate: bool = True,
+    strict: bool = False,
+    name: Optional[str] = None,
+    use_cache: Optional[bool] = None,
+) -> SynthesisResult:
+    """:func:`synthesize` for a model given as XMI text.
+
+    The synthesis cache is keyed on the text's bytes
+    (:func:`repro.parallel.fingerprint.xmi_cache_key`), so a hit neither
+    parses the text nor rebuilds its element tree.  ``model`` is the
+    parsed text, for a caller that needs the model anyway; without it
+    the text is parsed only when the flow has to run.  The options are
+    :func:`synthesize`'s.  Raises :class:`repro.uml.xmi.XmiError` when
+    the text must be parsed and cannot be.
+    """
+    options = {
+        "auto_allocate": auto_allocate,
+        "infer_channels": infer_channels,
+        "insert_barriers": insert_barriers,
+        "layout": layout,
+        "validate": validate,
+        "strict": strict,
+        "name": name,
+    }
+
+    def load() -> Model:
+        return model if model is not None else from_xmi_string(xmi)
+
+    return _synthesize(
+        load,
+        lambda: xmi_cache_key(xmi, plan, options),
+        plan,
+        options,
+        use_cache,
+    )
+
+
+def _synthesize(
+    load: Callable[[], Model],
+    key_of: Callable[[], str],
+    plan: Optional[DeploymentPlan],
+    options: Dict[str, Any],
+    use_cache: Optional[bool],
+    behaviors: Optional[Dict[str, Callable]] = None,
+) -> SynthesisResult:
+    """The one cache lookup in front of the flow, for either key source.
+
+    ``load`` yields the model and runs only when the flow must; ``key_of``
+    yields the cache key.  Runs with ``behaviors`` bypass the cache.
+    """
+    _obs.get().incr("flow.synthesize.calls")
     if use_cache is False:
         cache = None
     elif use_cache:
         cache = _syn_cache.force_synthesis_cache()
     else:
         cache = _syn_cache.synthesis_cache()
-    cache_key: Optional[str] = None
-    parallel_info: Dict[str, object] = {}
-    if cache is not None and behaviors is None:
-        cache_key = synthesis_cache_key(
-            model,
+    if cache is None:
+        return _run_flow(load(), plan, options, behaviors, {})
+    if behaviors is not None:
+        return _run_flow(
+            load(),
             plan,
-            {
-                "auto_allocate": auto_allocate,
-                "infer_channels": infer_channels,
-                "insert_barriers": insert_barriers,
-                "layout": layout,
-                "validate": validate,
-                "strict": strict,
-                "name": name,
-            },
+            options,
+            behaviors,
+            {"cache": {"status": "bypass", "reason": "behaviors"}},
         )
-        cached = cache.get(cache_key)
-        if cached is not None:
-            cached.obs.parallel = dict(cached.obs.parallel)
-            cached.obs.parallel["cache"] = {
-                "status": "hit",
-                "key": cache_key[:16],
-            }
-            log.info(
-                "synthesis cache hit for %r (key %s)",
-                model.name,
-                cache_key[:16],
-            )
-            return cached
-        parallel_info["cache"] = {"status": "miss", "key": cache_key[:16]}
-    elif cache is not None:
-        parallel_info["cache"] = {"status": "bypass", "reason": "behaviors"}
+    key = key_of()
+    cached = cache.get(key)
+    if cached is not None:
+        cached.obs.parallel = dict(cached.obs.parallel)
+        cached.obs.parallel["cache"] = {"status": "hit", "key": key[:16]}
+        log.info(
+            "synthesis cache hit for %r (key %s)", cached.caam.name, key[:16]
+        )
+        return cached
+    result = _run_flow(
+        load(),
+        plan,
+        options,
+        None,
+        {"cache": {"status": "miss", "key": key[:16]}},
+    )
+    cache.put(key, result)
+    return result
 
+
+def _run_flow(
+    model: Model,
+    plan: Optional[DeploymentPlan],
+    options: Dict[str, Any],
+    behaviors: Optional[Dict[str, Callable]],
+    parallel_info: Dict[str, object],
+) -> SynthesisResult:
+    """Steps 1–3 of the flow on ``model``, uncached."""
+    rec = _obs.get()
     with rec.span(
         "flow.synthesize", category="flow", model=model.name
     ) as root:
-        if validate:
+        if options["validate"]:
             with rec.span("flow.validate", category="flow"):
                 check_model(model)
         with rec.span("flow.allocate", category="flow") as span:
             resolved_plan, allocation = resolve_plan(
-                model, plan, auto_allocate=auto_allocate
+                model, plan, auto_allocate=options["auto_allocate"]
             )
             span.set(
                 cpus=len(resolved_plan.cpus),
@@ -282,19 +368,19 @@ def synthesize(
             mapping = map_model(
                 model,
                 resolved_plan,
-                name=name,
+                name=options["name"],
                 behaviors=behaviors,
-                strict=strict,
+                strict=options["strict"],
             )
         with rec.span("flow.intermediate", category="flow"):
             intermediate = to_ecore_string(mapping.caam)
         with rec.span("flow.optimize", category="flow"):
             pipeline = OptimizationPipeline(
-                infer_channels_enabled=infer_channels,
-                insert_barriers=insert_barriers,
+                infer_channels_enabled=options["infer_channels"],
+                insert_barriers=options["insert_barriers"],
             )
             optimization = pipeline.run(mapping)
-        if layout:
+        if options["layout"]:
             with rec.span("flow.layout", category="flow"):
                 from ..simulink.layout import layout_model
 
@@ -311,8 +397,6 @@ def synthesize(
             mapping, optimization, resolved_plan, parallel_info
         ),
     )
-    if cache is not None and cache_key is not None:
-        cache.put(cache_key, result)
     log.info(
         "synthesized %r: %d blocks on %d CPU(s), %d barrier(s)",
         result.caam.name,

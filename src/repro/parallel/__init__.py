@@ -26,6 +26,7 @@ from .fingerprint import (
     platform_fingerprint,
     synthesis_cache_key,
     taskgraph_fingerprint,
+    xmi_cache_key,
 )
 
 __all__ = [
@@ -41,4 +42,5 @@ __all__ = [
     "synthesis_cache",
     "synthesis_cache_key",
     "taskgraph_fingerprint",
+    "xmi_cache_key",
 ]

@@ -18,6 +18,12 @@ sorted JSON documents.  All fingerprints are hex SHA-256 digests.
 Conservatism note: models that are *semantically* equal but built in a
 different element order fingerprint differently.  For a cache that is the
 safe direction — the worst case is a miss, never a wrong hit.
+
+A model that arrives as XMI text can be keyed on the text itself
+(:func:`xmi_cache_key`), with no parse and no element tree.  Equal texts
+parse to equal models, so that key is a finer partition than the
+structural one: it misses on texts that differ only in layout, but it
+never hits wrongly.
 """
 
 from __future__ import annotations
@@ -143,6 +149,28 @@ def synthesis_cache_key(
         "synthesize",
         SCHEMA_VERSION,
         model_fingerprint(model),
+        plan_fingerprint(plan),
+        options_fingerprint(options),
+    )
+
+
+def xmi_cache_key(
+    xmi: str,
+    plan: Optional[DeploymentPlan],
+    options: Mapping[str, Any],
+) -> str:
+    """The content address of synthesizing the model that ``xmi`` encodes.
+
+    Keyed on the text's bytes, not on the parsed model, and tagged apart
+    from :func:`synthesis_cache_key`, so the two never share a key.
+    ``surrogatepass`` keeps the encoding total (and injective) for the
+    lone surrogates a JSON request may carry.
+    """
+    text = hashlib.sha256(xmi.encode("utf-8", "surrogatepass")).hexdigest()
+    return digest(
+        "synthesize-xmi",
+        SCHEMA_VERSION,
+        text,
         plan_fingerprint(plan),
         options_fingerprint(options),
     )

@@ -7,6 +7,9 @@ so an artifact produced through the server is byte-identical to one
 produced directly — the differential tests in ``tests/server/`` pin this
 down.  The synthesis cache engages exactly as it would for a library
 call (process-wide configuration, ``use_cache`` override per spec).
+Inline XMI goes through :func:`repro.core.flow.synthesize_xmi`, keyed on
+the text, so a cache hit skips the parse for every kind but ``analyze``
+(whose passes read the model) and ``explore`` (which is not cached).
 
 Cancellation is cooperative: the ``cancelled`` hook is checked between
 the coarse stages here — an explore job checks it before and after
@@ -21,7 +24,12 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Optional
 
-from ..core.flow import FlowError, synthesize
+from ..core.flow import (
+    FlowError,
+    SynthesisResult,
+    synthesize,
+    synthesize_xmi,
+)
 from ..core.taskgraph import task_graph_from_model
 from ..uml.model import Model
 from ..uml.xmi import XmiError, from_xmi_string
@@ -68,10 +76,22 @@ def build_model(spec: JobSpec) -> Model:
         raise FlowError(f"cannot parse model_xmi: {exc}") from exc
 
 
-def _run_synthesize(
-    spec: JobSpec, model: Model, cancelled: CancelHook
-) -> JobOutcome:
-    result = synthesize(model, **spec.options)
+def _synthesized(spec: JobSpec, **options: Any) -> SynthesisResult:
+    """The spec's model, synthesized behind the synthesis cache.
+
+    Inline XMI is keyed on its text, so a cache hit never parses it; a
+    demo model is built and keyed by structure, like a library call.
+    """
+    if not spec.model_xmi:
+        return synthesize(build_model(spec), **options)
+    try:
+        return synthesize_xmi(spec.model_xmi, **options)
+    except XmiError as exc:
+        raise FlowError(f"cannot parse model_xmi: {exc}") from exc
+
+
+def _run_synthesize(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
+    result = _synthesized(spec, **spec.options)
     _checkpoint(cancelled)
     payload: Dict[str, Any] = {
         "model": result.caam.name,
@@ -91,11 +111,11 @@ def _run_synthesize(
     )
 
 
-def _run_explore(
-    spec: JobSpec, model: Model, cancelled: CancelHook
-) -> JobOutcome:
+def _run_explore(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     from ..dse.explore import ExplorationError, explore, pareto_front
 
+    model = build_model(spec)
+    _checkpoint(cancelled)
     graph = task_graph_from_model(model)
     _checkpoint(cancelled)
     options = dict(spec.options)
@@ -143,9 +163,7 @@ def _run_explore(
     )
 
 
-def _run_simulate(
-    spec: JobSpec, model: Model, cancelled: CancelHook
-) -> JobOutcome:
+def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     """Synthesize, then execute the CAAM over a batch of stimuli.
 
     The batch goes through :meth:`Simulator.run_many`, so one compiled
@@ -181,7 +199,7 @@ def _run_simulate(
     synth_options = {
         key: options[key] for key in ("use_cache",) if key in options
     }
-    result = synthesize(model, **synth_options)
+    result = _synthesized(spec, **synth_options)
     _checkpoint(cancelled)
     engine = options.get("engine")
     if (
@@ -212,9 +230,7 @@ def _run_simulate(
     )
 
 
-def _run_analyze(
-    spec: JobSpec, model: Model, cancelled: CancelHook
-) -> JobOutcome:
+def _run_analyze(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     """Synthesize, run every analysis pass, return the SARIF artifact.
 
     The inline payload carries the counts/codes summary plus the SDF
@@ -223,6 +239,8 @@ def _run_analyze(
     """
     from ..analysis import AnalysisError, analyze_synthesized, pass_names
 
+    model = build_model(spec)
+    _checkpoint(cancelled)
     options = dict(spec.options)
     suppress = options.get("suppress", [])
     if not isinstance(suppress, list) or not all(
@@ -252,6 +270,7 @@ def _run_analyze(
             suppress=suppress,
             require_deployment=bool(options.get("require_deployment", False)),
             synthesize_options=synth_options,
+            xmi=spec.model_xmi,
         )
     except AnalysisError as exc:
         raise FlowError(str(exc)) from exc
@@ -273,9 +292,7 @@ def _run_analyze(
     )
 
 
-def _run_codegen(
-    spec: JobSpec, model: Model, cancelled: CancelHook
-) -> JobOutcome:
+def _run_codegen(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     """Synthesize, then run the static-schedule backend.
 
     The artifact is the digital-thread trace manifest (the document an
@@ -306,7 +323,7 @@ def _run_codegen(
         for key in ("use_cache", "auto_allocate")
         if key in options
     }
-    result = synthesize(model, **synth_options)
+    result = _synthesized(spec, **synth_options)
     _checkpoint(cancelled)
     try:
         generated = generate(
@@ -347,14 +364,12 @@ def _run_codegen(
 def execute(spec: JobSpec, *, cancelled: CancelHook = None) -> JobOutcome:
     """Run one job spec to completion (the manager's default executor)."""
     _checkpoint(cancelled)
-    model = build_model(spec)
-    _checkpoint(cancelled)
     if spec.kind == "synthesize":
-        return _run_synthesize(spec, model, cancelled)
+        return _run_synthesize(spec, cancelled)
     if spec.kind == "simulate":
-        return _run_simulate(spec, model, cancelled)
+        return _run_simulate(spec, cancelled)
     if spec.kind == "analyze":
-        return _run_analyze(spec, model, cancelled)
+        return _run_analyze(spec, cancelled)
     if spec.kind == "codegen":
-        return _run_codegen(spec, model, cancelled)
-    return _run_explore(spec, model, cancelled)
+        return _run_codegen(spec, cancelled)
+    return _run_explore(spec, cancelled)

@@ -29,6 +29,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional
 
+from ..simulink.simulator import ENGINES
+
 
 class JobState(str, enum.Enum):
     """Lifecycle states of a job (string-valued for direct JSON use)."""
@@ -122,6 +124,22 @@ ANALYZE_OPTIONS = frozenset(
 #: the result payload.
 CODEGEN_OPTIONS = frozenset({"languages", "auto_allocate", "use_cache"})
 
+#: Options that are flags, whichever kind takes them.  Each must be a
+#: JSON boolean: ``"yes"`` or ``5`` would run as ``True``, but would key
+#: another synthesis-cache entry for the same result.
+FLAG_OPTIONS = frozenset(
+    {
+        "auto_allocate",
+        "infer_channels",
+        "insert_barriers",
+        "layout",
+        "validate",
+        "strict",
+        "use_cache",
+        "require_deployment",
+    }
+)
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -165,8 +183,20 @@ class JobSpec:
                 f"unknown {self.kind} option(s) {', '.join(map(repr, unknown))}; "
                 f"valid options are {', '.join(sorted(allowed))}"
             )
+        for flag in sorted(FLAG_OPTIONS.intersection(self.options)):
+            if type(self.options[flag]) is not bool:
+                raise SpecError(
+                    f"'{flag}' must be true or false, "
+                    f"not {self.options[flag]!r}"
+                )
         if self.kind == "explore":
             _check_explore_options(self.options)
+        engine = self.options.get("engine")
+        if self.kind == "simulate" and engine not in (None, *ENGINES):
+            raise SpecError(
+                f"'engine' must be null or one of {list(ENGINES)}, "
+                f"not {engine!r}"
+            )
         # ``true`` would read as one second, and a NaN deadline never
         # passes, so the job could outlive the server's own timeout.
         if self.timeout_s is not None and not _finite_positive(self.timeout_s):

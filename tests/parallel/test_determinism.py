@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 
 import repro
 from repro.apps import crane, didactic, mjpeg, synthetic
-from repro.core.flow import synthesize
+from repro.core.flow import synthesize, synthesize_xmi
 from repro.parallel import cache
 from repro.parallel.fingerprint import (
     SCHEMA_VERSION,
     options_fingerprint,
     plan_fingerprint,
     synthesis_cache_key,
+    xmi_cache_key,
 )
 from repro.uml import ModelBuilder
-from repro.uml.xmi import to_xmi_string
+from repro.uml.xmi import from_xmi_string, to_xmi_string
 from repro.zoo import generate_corpus
 
 #: The flow options that participate in the cache key, with a non-default
@@ -283,3 +284,123 @@ class TestKeyPartition:
         keys = {synthesis_cache_key(model, None, {}) for model in variants}
         assert len(xmis) == len(variants)
         assert len(keys) == len(variants)
+
+
+#: ``synthesize``'s keyword defaults: the normalized options of a key.
+BASE_OPTIONS = {
+    "auto_allocate": False,
+    "infer_channels": True,
+    "insert_barriers": True,
+    "layout": True,
+    "validate": True,
+    "strict": False,
+    "name": None,
+}
+
+
+class TestXmiKey:
+    """The byte key of inline XMI: stable, sensitive, and its own space."""
+
+    def test_key_is_identical_in_fresh_processes(self):
+        script = (
+            "from repro.apps import crane\n"
+            "from repro.parallel.fingerprint import xmi_cache_key\n"
+            "from repro.uml.xmi import to_xmi_string\n"
+            "print(xmi_cache_key(to_xmi_string(crane.build_model()),"
+            " None, {}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        keys = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            keys.append(done.stdout.strip())
+        assert keys[0] == keys[1]
+        assert keys[0] == xmi_cache_key(
+            to_xmi_string(crane.build_model()), None, {}
+        )
+
+    @pytest.mark.parametrize("option", sorted(OPTION_VARIANTS))
+    def test_key_changes_with_each_flow_option(self, option):
+        xmi = to_xmi_string(didactic.build_model())
+        changed = dict(BASE_OPTIONS, **{option: OPTION_VARIANTS[option]})
+        assert xmi_cache_key(xmi, None, BASE_OPTIONS) != xmi_cache_key(
+            xmi, None, changed
+        )
+
+    def test_key_changes_with_explicit_plan(self):
+        from repro.uml import DeploymentPlan
+
+        xmi = to_xmi_string(didactic.build_model())
+        plan = DeploymentPlan.from_mapping({"T1": "CPU1"})
+        assert xmi_cache_key(xmi, None, {}) != xmi_cache_key(xmi, plan, {})
+
+    def test_schema_version_bump_invalidates_keys(self, monkeypatch):
+        from repro.parallel import fingerprint
+
+        xmi = to_xmi_string(small_model(1))
+        before = xmi_cache_key(xmi, None, BASE_OPTIONS)
+        monkeypatch.setattr(
+            fingerprint, "SCHEMA_VERSION", SCHEMA_VERSION + "-test"
+        )
+        assert xmi_cache_key(xmi, None, BASE_OPTIONS) != before
+
+    @pytest.mark.parametrize("option", [None, *sorted(OPTION_VARIANTS)])
+    def test_never_equals_the_structural_key(self, option):
+        options = dict(BASE_OPTIONS)
+        if option is not None:
+            options[option] = OPTION_VARIANTS[option]
+        structural = set()
+        by_bytes = set()
+        for app in (crane, didactic, mjpeg, synthetic):
+            model = app.build_model()
+            structural.add(synthesis_cache_key(model, None, options))
+            by_bytes.add(xmi_cache_key(to_xmi_string(model), None, options))
+        assert len(structural) == len(by_bytes) == 4
+        assert not structural & by_bytes
+
+    def test_layout_only_edit_misses_but_never_merges(self):
+        # Whitespace between elements leaves the parsed model, and so the
+        # structural key, unchanged; the byte key tells the texts apart.
+        xmi = to_xmi_string(didactic.build_model())
+        edited = xmi.replace("\n  <uml:Model", "\n\n  <uml:Model", 1)
+        assert edited != xmi
+        assert synthesis_cache_key(
+            from_xmi_string(edited), None, {}
+        ) == synthesis_cache_key(from_xmi_string(xmi), None, {})
+        assert xmi_cache_key(edited, None, {}) != xmi_cache_key(xmi, None, {})
+
+    def test_lone_surrogates_key_without_error(self):
+        # A JSON request may carry "\ud800"; the key must still be total
+        # and tell it from its neighbours.
+        keys = {
+            xmi_cache_key(text, None, {})
+            for text in ("a\ud800", "a\ud801", "a", "a\ufffd")
+        }
+        assert len(keys) == 4
+
+    def test_cold_warm_and_cache_off_identical(self):
+        model = didactic.build_model()
+        xmi = to_xmi_string(model)
+        off = synthesize(from_xmi_string(xmi), use_cache=False)
+        cache.configure(enabled=True)
+        cold = synthesize_xmi(xmi)
+        warm = synthesize_xmi(xmi)
+        assert cold.obs.parallel["cache"] == {
+            "status": "miss",
+            "key": xmi_cache_key(xmi, None, BASE_OPTIONS)[:16],
+        }
+        assert warm.obs.parallel["cache"]["status"] == "hit"
+        for result in (cold, warm):
+            assert result.mdl_text == off.mdl_text
+            assert result.mapping_report() == off.mapping_report()
+            assert result.intermediate_xml == off.intermediate_xml
+        # The byte key and the structural key are separate entries.
+        assert synthesize(model).obs.parallel["cache"]["status"] == "miss"

@@ -119,6 +119,18 @@ class TestErrorStatuses:
             ({**CRANE_SPEC, "timeout_s": float("nan")}, "'timeout_s' must be"),
             ({**CRANE_SPEC, "timeout_s": float("inf")}, "'timeout_s' must be"),
             ({**CRANE_SPEC, "timeout_s": 0}, "'timeout_s' must be"),
+            (
+                {**CRANE_SPEC, "options": {"auto_allocate": "yes"}},
+                "'auto_allocate' must be",
+            ),
+            (
+                {
+                    "kind": "simulate",
+                    "demo": "crane",
+                    "options": {"engine": "warp"},
+                },
+                "'engine' must be",
+            ),
         ],
         ids=[
             "unknown-kind",
@@ -128,6 +140,8 @@ class TestErrorStatuses:
             "timeout-nan",
             "timeout-inf",
             "timeout-zero",
+            "auto_allocate-string",
+            "simulate-engine-unknown",
         ],
     )
     def test_bad_spec_is_400(self, served, spec, message):

@@ -11,6 +11,7 @@ from repro.server.jobs import (
     SpecError,
     StateError,
 )
+from repro.simulink.simulator import ENGINES
 
 
 class TestJobSpec:
@@ -136,6 +137,62 @@ class TestExploreOptions:
             JobSpec.from_dict(
                 {"kind": "synthesize", "demo": "crane", "options": {"objective": 1}}
             )
+
+
+class TestFlagAndEngineOptions:
+    @pytest.mark.parametrize("kind", ["synthesize", "codegen"])
+    @pytest.mark.parametrize("value", ["yes", 5, 0, None, [True]])
+    def test_non_boolean_auto_allocate_is_a_spec_error(self, kind, value):
+        with pytest.raises(SpecError, match="'auto_allocate'"):
+            JobSpec.from_dict(
+                {
+                    "kind": kind,
+                    "demo": "crane",
+                    "options": {"auto_allocate": value},
+                }
+            )
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("synthesize", "layout"),
+            ("synthesize", "strict"),
+            ("synthesize", "use_cache"),
+            ("analyze", "require_deployment"),
+            ("simulate", "use_cache"),
+        ],
+    )
+    def test_every_flag_must_be_a_boolean(self, kind, flag):
+        with pytest.raises(SpecError, match=repr(flag)):
+            JobSpec.from_dict(
+                {"kind": kind, "demo": "crane", "options": {flag: "true"}}
+            )
+
+    @pytest.mark.parametrize("kind", ["synthesize", "codegen"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_flags_are_admitted(self, kind, value):
+        spec = JobSpec.from_dict(
+            {"kind": kind, "demo": "crane", "options": {"auto_allocate": value}}
+        )
+        assert spec.options["auto_allocate"] is value
+
+    @pytest.mark.parametrize("engine", ["warp", "", "BATCH", 1, ["batch"]])
+    def test_unknown_simulate_engine_is_a_spec_error(self, engine):
+        with pytest.raises(SpecError, match="'engine'"):
+            JobSpec.from_dict(
+                {
+                    "kind": "simulate",
+                    "demo": "crane",
+                    "options": {"engine": engine},
+                }
+            )
+
+    @pytest.mark.parametrize("engine", [None, *ENGINES])
+    def test_known_simulate_engines_are_admitted(self, engine):
+        spec = JobSpec.from_dict(
+            {"kind": "simulate", "demo": "crane", "options": {"engine": engine}}
+        )
+        assert spec.options["engine"] == engine
 
 
 class TestStateMachine:
