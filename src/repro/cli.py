@@ -446,13 +446,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .server import JobManager, RetryPolicy, make_server, serve_until
+    from .server import JobManager, make_server, serve_until
 
     manager = JobManager(
         workers=args.workers,
         queue_depth=args.queue_depth,
         job_timeout_s=args.job_timeout,
-        retry=RetryPolicy(max_retries=args.max_retries),
         journal_path=args.journal,
         # --slo-config (global or post-subcommand) was resolved into an
         # engine on the ambient recorder by main(); default targets
@@ -468,7 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"repro server listening on http://{host}:{port}", flush=True)
     print(
         f"  workers={args.workers} queue_depth={args.queue_depth} "
-        f"job_timeout={args.job_timeout:g}s max_retries={args.max_retries}",
+        f"job_timeout={args.job_timeout:g}s",
         flush=True,
     )
 
@@ -911,12 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         metavar="SECONDS",
         help="per-job wall-clock budget before the job is timed out",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retries for transiently failed jobs (exponential backoff)",
     )
     p.add_argument(
         "--journal",

@@ -36,8 +36,6 @@ from .clustering import (
 from .flow import (
     FlowError,
     SynthesisResult,
-    TransientFlowError,
-    is_transient,
     resolve_plan,
     synthesize,
     synthesize_to_mdl,
@@ -79,7 +77,6 @@ __all__ = [
     "TaskGraph",
     "TaskGraphError",
     "ThreadScope",
-    "TransientFlowError",
     "allocate_from_interactions",
     "allocate_from_model",
     "allocate_threads",
@@ -90,7 +87,6 @@ __all__ = [
     "infer_channels",
     "insert_temporal_barriers",
     "inter_cluster_communication",
-    "is_transient",
     "linear_clustering",
     "map_model",
     "plan_from_clusters",

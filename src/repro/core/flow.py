@@ -46,46 +46,10 @@ log = logging.getLogger(__name__)
 class FlowError(Exception):
     """Raised when the synthesis flow cannot complete.
 
-    ``FlowError`` (and its subclasses other than
-    :class:`TransientFlowError`) is **deterministic**: the same model and
-    options will fail the same way every time, so retrying is pointless.
-    The batch server (:mod:`repro.server`) uses this distinction — see
-    :func:`is_transient`.
+    The flow is deterministic: the same model and options fail the same
+    way every time, so the batch server (:mod:`repro.server`) runs each
+    job once and reports the error as the job's failure.
     """
-
-
-class TransientFlowError(FlowError):
-    """A failure caused by the execution substrate, not the model.
-
-    Cache/journal I/O errors and similar environmental hiccups raise (or
-    are classified as) this; a retry with fresh resources may well succeed.
-    """
-
-
-#: Exception types considered retry-worthy even when raised outside the
-#: flow proper (cache and journal I/O, interrupted syscalls).
-_TRANSIENT_TYPES = (
-    TransientFlowError,
-    OSError,
-    EOFError,
-    BrokenPipeError,
-    ConnectionError,
-    MemoryError,
-)
-
-
-def is_transient(exc: BaseException) -> bool:
-    """Whether ``exc`` is worth retrying (substrate failure, not model).
-
-    Deterministic :class:`FlowError`\\ s — bad models, impossible
-    allocations, strict-mode escalations — are never transient; worker
-    crashes and I/O errors are.
-    """
-    if isinstance(exc, TransientFlowError):
-        return True
-    if isinstance(exc, FlowError):
-        return False
-    return isinstance(exc, _TRANSIENT_TYPES)
 
 
 @dataclass

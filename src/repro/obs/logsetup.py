@@ -12,7 +12,7 @@ Two output formats:
   **correlation fields** — the active recorder's ``trace_id``, the
   calling thread's current ``span_id``, and any fields pushed with
   :func:`log_fields` (the server stamps ``job_id`` around each job
-  attempt) — so every log line joins to the exported Chrome trace and
+  execution) — so every log line joins to the exported Chrome trace and
   to the job journal.
 
 Correlation is stamped by a :class:`logging.Filter` on the handler, so
@@ -53,7 +53,7 @@ def log_fields(**fields: Any) -> Iterator[None]:
     """Stamp ``fields`` on every log record emitted in the body.
 
     Nests: inner scopes add to (and may override) outer ones.  The
-    server wraps each job attempt in ``log_fields(job_id=...)`` so
+    server wraps each job execution in ``log_fields(job_id=...)`` so
     worker log lines are attributable without threading the id through
     every call signature.
     """

@@ -312,8 +312,8 @@ class Recorder:
         """Open a nested span; close it by exiting the context manager.
 
         ``parent_id`` overrides the inherited per-thread context: pass an
-        explicit span id to stitch under a span another thread (or an
-        earlier attempt) opened, or ``None`` to force a root.
+        explicit span id to stitch under a span another thread
+        opened, or ``None`` to force a root.
         """
         span = self._new_span(
             name,

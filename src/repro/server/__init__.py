@@ -11,9 +11,8 @@ observable service:
   ``queued → running → done|failed|cancelled|timed_out`` state machine;
 - :mod:`.manager` — :class:`JobManager`: bounded FIFO admission
   (:class:`QueueFull` → HTTP 429), worker threads, wall-clock timeouts
-  with cooperative cancellation, transient-only retries with exponential
-  backoff + jitter (:mod:`.retry`), graceful drain, and a shutdown
-  journal of unfinished specs (:mod:`.journal`);
+  with cooperative cancellation, graceful drain, and a shutdown journal
+  of unfinished specs (:mod:`.journal`); each job runs once;
 - :mod:`.executor` — runs specs through the *same* front doors a library
   user calls, so served artifacts are byte-identical to library ones;
 - :mod:`.http` — a stdlib-only JSON API (``POST /jobs``,
@@ -43,7 +42,6 @@ from .manager import (
     ShuttingDown,
     UnknownJob,
 )
-from .retry import RetryPolicy
 
 __all__ = [
     "AdmissionError",
@@ -55,7 +53,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "QueueFull",
-    "RetryPolicy",
     "ShuttingDown",
     "SpecError",
     "StateError",

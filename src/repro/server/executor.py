@@ -22,6 +22,7 @@ result.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, Optional
 
 from ..core.flow import (
@@ -163,6 +164,14 @@ def _run_explore(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     )
 
 
+def _is_real(value: Any) -> bool:
+    """True for a finite int or float sample (``true`` is not a number)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     """Synthesize, then execute the CAAM over a batch of stimuli.
 
@@ -177,6 +186,7 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     import os
 
     from ..simulink import batch as libbatch
+    from ..simulink.model import SimulinkError
     from ..simulink.simulator import ENGINE_BATCH, Simulator
 
     options = dict(spec.options)
@@ -190,6 +200,16 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         raise FlowError("'stimuli' must be a list of stimulus objects")
     if not stimuli:
         raise FlowError("'stimuli' must name at least one episode")
+    for stimulus in stimuli:
+        for inport, samples in stimulus.items():
+            if not (
+                isinstance(inport, str)
+                and isinstance(samples, list)
+                and all(_is_real(x) for x in samples)
+            ):
+                raise FlowError(
+                    f"stimulus {inport!r} must be a list of finite numbers"
+                )
     monitor = options.get("monitor", [])
     if not isinstance(monitor, list) or not all(
         isinstance(p, str) for p in monitor
@@ -208,8 +228,11 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         and libbatch.numpy_available()
     ):
         engine = ENGINE_BATCH
-    simulator = Simulator(result.caam, monitor=monitor, engine=engine)
-    episodes = simulator.run_many(steps, stimuli)
+    try:
+        simulator = Simulator(result.caam, monitor=monitor, engine=engine)
+        episodes = simulator.run_many(steps, stimuli)
+    except SimulinkError as exc:  # a bad monitor path, an algebraic loop
+        raise FlowError(str(exc)) from exc
     _checkpoint(cancelled)
     episodes_doc = [
         {"outputs": episode.outputs, "signals": episode.signals}

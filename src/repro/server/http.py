@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
+from urllib.parse import quote
 
 from .jobs import JobSpec, JobState, SpecError
 from .manager import JobManager, QueueFull, ShuttingDown, UnknownJob
@@ -40,6 +42,22 @@ log = logging.getLogger(__name__)
 
 #: Largest request body accepted (a generous bound for inline XMI).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+def _content_disposition(name: str) -> str:
+    """An attachment header value that is safe for any artifact name.
+
+    The name comes from the client (the ``name`` option or the XMI model
+    name).  The plain ``filename`` keeps ``[A-Za-z0-9._-]`` and turns
+    every other character into ``_``, so no quote, CR/LF or non-Latin-1
+    character reaches the header; ``filename*`` (RFC 6266/8187) carries
+    the exact name, UTF-8 percent-encoded.
+    """
+    plain = re.sub(r"[^A-Za-z0-9._-]", "_", name)
+    return (
+        f'attachment; filename="{plain}"; '
+        f"filename*=UTF-8''{quote(name, safe='')}"
+    )
 
 
 class JobServer(ThreadingHTTPServer):
@@ -195,9 +213,7 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             outcome.artifact_text.encode("utf-8"),
             content_type=content_type,
-            Content_Disposition=(
-                f'attachment; filename="{outcome.artifact_name}"'
-            ),
+            Content_Disposition=_content_disposition(outcome.artifact_name),
         )
 
     def _get_healthz(self) -> None:

@@ -2,14 +2,13 @@
 
 A *job* is one unit of admitted work: a :class:`JobSpec` describing what
 to run (synthesize or explore, over which model, with which options) plus
-the server-side bookkeeping — state, attempts, timestamps, errors — that
-the HTTP API reports.  The state machine is::
+the server-side bookkeeping — state, timestamps, errors — that the HTTP
+API reports.  Each job runs once.  The state machine is::
 
     queued ──> running ──> done
-       │          │ ├────> failed       (deterministic error, retries spent)
-       │          │ ├────> cancelled    (client cancel observed)
-       │          │ ├────> timed_out    (wall-clock deadline passed)
-       │          │ └────> queued       (transient failure, retry scheduled)
+       │          ├──────> failed       (the executor raised)
+       │          ├──────> cancelled    (client cancel observed)
+       │          └──────> timed_out    (wall-clock deadline passed)
        └────────> cancelled             (cancelled before it ever ran)
 
 ``done`` / ``failed`` / ``cancelled`` / ``timed_out`` are terminal.  All
@@ -61,7 +60,6 @@ TRANSITIONS: Dict[JobState, FrozenSet[JobState]] = {
             JobState.FAILED,
             JobState.CANCELLED,
             JobState.TIMED_OUT,
-            JobState.QUEUED,  # transient failure re-admitted for retry
         }
     ),
     JobState.DONE: frozenset(),
@@ -189,6 +187,12 @@ class JobSpec:
                     f"'{flag}' must be true or false, "
                     f"not {self.options[flag]!r}"
                 )
+        # The name becomes the model's and the artifact's file name.
+        name = self.options.get("name")
+        if name is not None and not (isinstance(name, str) and name):
+            raise SpecError(
+                f"'name' must be null or a non-empty string, not {name!r}"
+            )
         if self.kind == "explore":
             _check_explore_options(self.options)
         engine = self.options.get("engine")
@@ -303,14 +307,9 @@ class Job:
     spec: JobSpec
     id: str = field(default_factory=_new_job_id)
     state: JobState = JobState.QUEUED
-    #: Execution attempts started so far (1 after the first pop).
-    attempts: int = 0
     #: Human-readable failure description (state ``failed``/``timed_out``).
     error: Optional[str] = None
-    #: Earliest wall-clock time the queue may hand this job out (retry
-    #: backoff); 0.0 means immediately.
-    not_before: float = 0.0
-    #: Wall-clock deadline of the current attempt (set when running).
+    #: Wall-clock deadline of the execution (set when running).
     deadline: Optional[float] = None
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -319,9 +318,9 @@ class Job:
     #: Cooperative cancellation flag polled by the executor.
     cancel_event: threading.Event = field(default_factory=threading.Event)
     #: The job's submission-to-terminal root span (a
-    #: :class:`repro.obs.Span`, set by the manager at admission).  Every
-    #: execution-attempt span stitches under it, so one job is one
-    #: subtree in the exported Chrome trace.
+    #: :class:`repro.obs.Span`, set by the manager at admission).  The
+    #: execution span stitches under it, so one job is one subtree in
+    #: the exported Chrome trace.
     root_span: Optional[Any] = field(default=None, repr=False)
 
     def advance(self, target: JobState) -> None:
@@ -339,7 +338,6 @@ class Job:
             "id": self.id,
             "kind": self.spec.kind,
             "state": self.state.value,
-            "attempts": self.attempts,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,

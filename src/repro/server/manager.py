@@ -1,4 +1,4 @@
-"""The job manager: admission, scheduling, timeouts, retries, shutdown.
+"""The job manager: admission, scheduling, timeouts, shutdown.
 
 One :class:`JobManager` is the entire serving brain; the HTTP layer in
 :mod:`repro.server.http` is a thin JSON shim over it.  Responsibilities:
@@ -7,15 +7,13 @@ One :class:`JobManager` is the entire serving brain; the HTTP layer in
   queue rejects with :class:`QueueFull` (HTTP 429) instead of letting
   latency grow without bound, and a draining server rejects with
   :class:`ShuttingDown` (HTTP 503);
-- **scheduling** — ``workers`` daemon threads pop jobs FIFO, honouring
-  per-job retry backoff (``not_before``);
+- **scheduling** — ``workers`` daemon threads pop jobs FIFO; each job
+  runs once, and any exception it raises fails it (the flow is
+  deterministic, so a second run would fail the same way);
 - **timeouts** — a monitor thread marks a job ``timed_out`` the moment
   its wall-clock deadline passes and trips its cancel hook; the executing
   thread notices at its next cooperative checkpoint and its late result
   is discarded;
-- **retries** — transient failures (see :mod:`repro.server.retry`) are
-  re-admitted with exponential backoff + jitter; deterministic
-  :class:`~repro.core.flow.FlowError`\\ s fail immediately;
 - **graceful shutdown** — :meth:`shutdown` stops admission, lets running
   jobs drain and journals the still-queued specs;
 - **bounded state** — a job releases its inline ``model_xmi`` when it
@@ -29,12 +27,12 @@ per-kind counters, aggregate and per-kind latency histograms, a
 queue-wait histogram), on the same registry the CLI's ``--metrics-out``
 writes and ``GET /metrics`` serves.  Traces stitch: each job gets one
 ``server.job`` root span covering submission to terminal state (opened
-at admission, closed from whichever thread finalizes the job), each
-execution attempt opens a ``server.job.attempt`` child on the worker
-thread, and the executor runs with that attempt attached as the
-thread's span context — so flow passes and DSE exploration spans all
-land in the job's subtree instead of starting orphan roots.  Worker log
-records carry ``job_id`` via :func:`repro.obs.log_fields`.
+at admission, closed from whichever thread finalizes the job), the
+execution opens a ``server.job.attempt`` child on the worker thread,
+and the executor runs with that span attached as the thread's context —
+so flow passes and DSE exploration spans all land in the job's subtree
+instead of starting orphan roots.  Worker log records carry ``job_id``
+via :func:`repro.obs.log_fields`.
 
 An :class:`~repro.obs.slo.SloEngine` (default:
 :func:`~repro.obs.slo.default_server_targets`) evaluates availability
@@ -60,7 +58,6 @@ from ..obs.slo import RISK_LEVELS, SloEngine, default_server_targets
 from .executor import JobCancelled, execute
 from .jobs import Job, JobOutcome, JobSpec, JobState
 from .journal import consume_journal, write_journal
-from .retry import RetryPolicy
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +93,7 @@ Executor = Callable[..., JobOutcome]
 
 
 class JobManager:
-    """A bounded, retrying, observable batch-job scheduler."""
+    """A bounded, observable batch-job scheduler."""
 
     def __init__(
         self,
@@ -104,7 +101,6 @@ class JobManager:
         workers: int = 2,
         queue_depth: int = 16,
         job_timeout_s: float = 60.0,
-        retry: Optional[RetryPolicy] = None,
         journal_path: Optional[str] = None,
         executor: Optional[Executor] = None,
         recorder: Optional["_obs.AnyRecorder"] = None,
@@ -117,7 +113,6 @@ class JobManager:
         self.workers = workers
         self.queue_depth = queue_depth
         self.job_timeout_s = job_timeout_s
-        self.retry = retry or RetryPolicy()
         self.journal_path = journal_path
         self._executor: Executor = executor or execute
         # A live registry even outside any obs.use() scope, so /metrics
@@ -359,42 +354,25 @@ class JobManager:
     # -- worker internals --------------------------------------------------
 
     def _next_job(self) -> Optional[Job]:
-        """Block for the next runnable job; ``None`` means exit."""
+        """Block for the queue head; ``None`` means exit."""
         with self._ready:
-            while True:
-                if self._stopping:
-                    return None
-                now = time.time()
-                wake_at: Optional[float] = None
-                for job in self._queue:
-                    if job.state is not JobState.QUEUED:
-                        continue
-                    if job.not_before <= now:
-                        self._queue.remove(job)
-                        job.advance(JobState.RUNNING)
-                        job.attempts += 1
-                        if job.attempts == 1:
-                            # Pure admission-to-dispatch wait; retry
-                            # backoff is intentional delay, not queueing.
-                            self._rec.hist(
-                                "server.job.queue_wait",
-                                max(0.0, now - job.submitted_at),
-                            )
-                        job.started_at = job.started_at or now
-                        job.deadline = now + (
-                            job.spec.timeout_s or self.job_timeout_s
-                        )
-                        self._running[job.id] = job
-                        self._metrics_snapshot()
-                        return job
-                    wake_at = (
-                        job.not_before
-                        if wake_at is None
-                        else min(wake_at, job.not_before)
-                    )
-                self._ready.wait(
-                    None if wake_at is None else max(0.01, wake_at - now)
-                )
+            while not self._queue and not self._stopping:
+                self._ready.wait()
+            if self._stopping:
+                return None
+            # Cancelling a queued job removes it from the deque, so the
+            # head is always a queued job.
+            job = self._queue.popleft()
+            job.advance(JobState.RUNNING)
+            now = time.time()
+            self._rec.hist(
+                "server.job.queue_wait", max(0.0, now - job.submitted_at)
+            )
+            job.started_at = now
+            job.deadline = now + (job.spec.timeout_s or self.job_timeout_s)
+            self._running[job.id] = job
+            self._metrics_snapshot()
+            return job
 
     def _worker_loop(self) -> None:
         while True:
@@ -408,17 +386,14 @@ class JobManager:
         root_id = job.root_span.id if job.root_span is not None else None
         try:
             # Adopt the job's root span as this worker thread's context
-            # and stamp job correlation on every log record: the attempt
-            # span — and everything the executor opens beneath it — now
-            # stitches into the job's subtree.
+            # and stamp job correlation on every log record: the
+            # execution span — and everything the executor opens beneath
+            # it — now stitches into the job's subtree.
             with self._rec.attach(root_id), log_fields(
                 job_id=job.id, job_kind=job.spec.kind
             ):
                 with self._rec.span(
-                    "server.job.attempt",
-                    "server",
-                    job=job.id,
-                    attempt=job.attempts,
+                    "server.job.attempt", "server", job=job.id
                 ):
                     outcome = self._executor(job.spec, cancelled=cancelled)
         except BaseException as exc:  # noqa: BLE001 — full fault barrier
@@ -433,11 +408,10 @@ class JobManager:
         outcome: Optional[JobOutcome] = None,
         error: Optional[BaseException] = None,
     ) -> None:
-        """Fold one finished execution attempt back into the job table."""
+        """Fold one finished execution back into the job table."""
         now = time.time()
         with self._lock:
             self._running.pop(job.id, None)
-            final = None
             if job.state is not JobState.RUNNING:
                 # Timed out or cancelled while we were executing: the
                 # state transition already happened; drop the late result.
@@ -447,33 +421,15 @@ class JobManager:
                 job.advance(JobState.DONE)
                 job.finished_at = now
                 self._finalize_metrics(job)
-                final = JobState.DONE
             elif isinstance(error, JobCancelled):
                 job.advance(JobState.CANCELLED)
                 job.finished_at = now
                 self._finalize_metrics(job)
-                final = JobState.CANCELLED
-            elif self.retry.should_retry(error, job.attempts):
-                delay = self.retry.delay_for(job.attempts)
-                job.advance(JobState.QUEUED)
-                job.not_before = now + delay
-                job.error = f"retrying after {type(error).__name__}: {error}"
-                self._queue.append(job)
-                self._rec.incr("server.jobs.retried")
-                log.warning(
-                    "job %s attempt %d failed transiently (%s); retry in %.2fs",
-                    job.id,
-                    job.attempts,
-                    type(error).__name__,
-                    delay,
-                )
-                self._ready.notify()
             else:
                 job.error = f"{type(error).__name__}: {error}"
                 job.advance(JobState.FAILED)
                 job.finished_at = now
                 self._finalize_metrics(job)
-                final = JobState.FAILED
             self._metrics_snapshot()
             self._idle.notify_all()
 
@@ -527,7 +483,6 @@ class JobManager:
                 error=job.error,
                 end_wall=job.finished_at,
                 state=state,
-                attempts=job.attempts,
             )
         if job.spec.model_xmi is not None:
             # Never served back, and the journal keeps only queued specs.

@@ -1,10 +1,11 @@
 """Cross-thread trace stitching: no orphan span roots.
 
 The differential contract: whatever executes the work — the DSE explorer
-or the server's job threads with retries — the exported Chrome trace
-must form a *single rooted span tree*: every worker/retry span carries a
-``parent_id`` resolvable to another span in the same document.  ``tools/validate_trace.py --tree`` enforces exactly
-this, so the tests call its validator directly.
+or the server's job threads — the exported Chrome trace must form a
+*single rooted span tree*: every worker span carries a ``parent_id``
+resolvable to another span in the same document.
+``tools/validate_trace.py --tree`` enforces exactly this, so the tests
+call its validator directly.
 """
 
 import os
@@ -13,9 +14,8 @@ import sys
 import time
 
 from repro import obs
-from repro.core.flow import TransientFlowError
 from repro.core.taskgraph import TaskGraph
-from repro.server import JobManager, JobOutcome, JobSpec, RetryPolicy
+from repro.server import JobManager, JobOutcome, JobSpec
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), "..", "..", "tools")
@@ -64,24 +64,12 @@ class TestDseStitching:
 
 
 class TestServerStitching:
-    def test_server_batch_with_retry_is_single_rooted_tree(self):
-        attempts = {"n": 0}
-
-        def flaky(job_spec, *, cancelled=None):
-            attempts["n"] += 1
-            if attempts["n"] == 1:
-                raise TransientFlowError("transient worker crash")
-            return outcome()
-
+    def test_server_batch_is_single_rooted_tree(self):
         rec = obs.Recorder()
         with obs.use(rec):
             with rec.span("cli.serve", category="cli"):
                 manager = JobManager(
-                    workers=2,
-                    executor=flaky,
-                    retry=RetryPolicy(
-                        max_retries=2, base_delay_s=0.01, jitter=0.0
-                    ),
+                    workers=2, executor=lambda s, cancelled=None: outcome()
                 ).start()
                 try:
                     jobs = [
@@ -93,23 +81,23 @@ class TestServerStitching:
                     assert wait_terminal(jobs)
                 finally:
                     manager.shutdown()
-        assert attempts["n"] >= 4  # 3 jobs + at least one retry
         spans = rec.finished_spans()
         document = obs.to_chrome_trace(spans)
         validate_trace(document)
         validate_span_tree(document)
-        # Both attempts of the retried job sit under one server.job root,
-        # and every job root hangs off the ambient cli.serve anchor.
+        # Each execution span sits under its own server.job root, and
+        # every job root hangs off the ambient cli.serve anchor.
         by_id = {s.id: s for s in spans}
         attempt_spans = [s for s in spans if s.name == "server.job.attempt"]
-        assert len(attempt_spans) == 4
+        roots = [s for s in spans if s.name == "server.job"]
+        assert len(attempt_spans) == len(roots) == 3
         for span in attempt_spans:
             parent = by_id[span.parent_id]
             assert parent.name == "server.job"
             assert by_id[parent.parent_id].name == "cli.serve"
-        retried = [s for s in spans if s.name == "server.job"]
-        parents_of_attempts = {s.parent_id for s in attempt_spans}
-        assert parents_of_attempts == {s.id for s in retried}
+            assert "attempt" not in span.attrs
+        assert {s.parent_id for s in attempt_spans} == {s.id for s in roots}
+        assert {s.attrs["job"] for s in roots} == {j.id for j in jobs}
 
     def test_job_root_span_closes_with_terminal_state(self):
         rec = obs.Recorder()
@@ -126,7 +114,7 @@ class TestServerStitching:
         roots = [s for s in rec.finished_spans() if s.name == "server.job"]
         assert len(roots) == 1
         assert roots[0].attrs["state"] == "done"
-        assert roots[0].attrs["attempts"] == 1
+        assert "attempts" not in roots[0].attrs
 
     def test_executor_spans_adopt_job_context(self):
         """Spans the executor opens parent into the job's attempt span."""

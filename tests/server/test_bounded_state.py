@@ -12,8 +12,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core.flow import TransientFlowError
-from repro.server import JobManager, JobSpec, JobState, RetryPolicy, UnknownJob
+from repro.server import JobManager, JobSpec, JobState, UnknownJob
 from repro.server.journal import read_journal
 from repro.server.manager import MAX_FINISHED_JOBS
 
@@ -83,26 +82,22 @@ class TestBoundedJobTable:
         finally:
             next(served, None)
 
-    def test_retry_keeps_xmi_until_terminal(self):
+    def test_executor_sees_xmi_terminal_job_drops_it(self):
         seen = []
 
-        def flaky(job_spec, *, cancelled=None):
+        def recording(job_spec, *, cancelled=None):
             seen.append(job_spec.model_xmi)
-            if len(seen) == 1:
-                raise TransientFlowError("worker crashed")
             return ok_outcome()
 
         manager = JobManager(
             workers=1,
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.01, jitter=0.0),
-            executor=flaky,
+            executor=recording,
             recorder=obs.Recorder(keep_spans=False),
         ).start()
         try:
             job = manager.submit(xmi_spec(0))
             assert wait_for(lambda: job.state is JobState.DONE)
-            assert job.attempts == 2
-            assert seen == [xmi_spec(0).model_xmi] * 2
+            assert seen == [xmi_spec(0).model_xmi]
             assert job.spec.model_xmi is None
         finally:
             manager.shutdown()

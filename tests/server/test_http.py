@@ -9,6 +9,7 @@ import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -108,6 +109,49 @@ class TestSubmitAndPoll:
         assert all("result" not in job for job in doc["jobs"])
 
 
+class TestArtifactDownload:
+    """A client-chosen model name cannot break the artifact response."""
+
+    @pytest.mark.parametrize(
+        "name, plain",
+        [("x\"\r\nX-Evil: 1", "x___X-Evil__1.mdl"), ("模型", "__.mdl")],
+        ids=["header-injection", "non-latin-1"],
+    )
+    def test_any_name_downloads_in_full(self, name, plain):
+        served = _serve(JobManager(workers=1))
+        base, manager = next(served)
+        try:
+            status, _, doc = request(
+                "POST",
+                f"{base}/jobs",
+                {**CRANE_SPEC, "options": {"name": name}},
+            )
+            assert status == 201
+            job = manager.get(doc["id"])
+            assert wait_for(lambda: job.state.terminal, timeout=30.0)
+            assert job.state is JobState.DONE, job.error
+            expected = job.outcome.artifact_text.encode("utf-8")
+
+            host, port = base[len("http://"):].split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+            try:
+                conn.request("GET", f"/jobs/{job.id}/artifact")
+                resp = conn.getresponse()
+                body = resp.read()
+            finally:
+                conn.close()
+            assert resp.status == 200
+            assert body == expected
+            assert resp.headers.get("X-Evil") is None
+            disposition = resp.headers.get_all("Content-Disposition")
+            assert disposition == [
+                f'attachment; filename="{plain}"; filename*=UTF-8\'\''
+                + urllib.parse.quote(f"{name}.mdl", safe="")
+            ]
+        finally:
+            next(served, None)
+
+
 class TestErrorStatuses:
     @pytest.mark.parametrize(
         "spec, message",
@@ -131,6 +175,8 @@ class TestErrorStatuses:
                 },
                 "'engine' must be",
             ),
+            ({**CRANE_SPEC, "options": {"name": 5}}, "'name' must be"),
+            ({**CRANE_SPEC, "options": {"name": ""}}, "'name' must be"),
         ],
         ids=[
             "unknown-kind",
@@ -142,6 +188,8 @@ class TestErrorStatuses:
             "timeout-zero",
             "auto_allocate-string",
             "simulate-engine-unknown",
+            "name-int",
+            "name-empty",
         ],
     )
     def test_bad_spec_is_400(self, served, spec, message):

@@ -203,12 +203,11 @@ class TestStateMachine:
         job.advance(JobState.DONE)
         assert job.state.terminal
 
-    def test_retry_loops_back_to_queued(self):
+    def test_running_cannot_go_back_to_queued(self):
         job = Job(spec=JobSpec(kind="synthesize", demo="crane"))
         job.advance(JobState.RUNNING)
-        job.advance(JobState.QUEUED)
-        job.advance(JobState.RUNNING)
-        job.advance(JobState.FAILED)
+        with pytest.raises(StateError, match="running -> queued"):
+            job.advance(JobState.QUEUED)
 
     def test_queued_cannot_jump_to_done(self):
         job = Job(spec=JobSpec(kind="synthesize", demo="crane"))
@@ -252,12 +251,13 @@ class TestStatusDocument:
         assert doc["result"] == {"blocks": 3}
         assert job.to_dict(with_payload=False).get("result") is None
 
-    def test_reports_kind_state_attempts(self):
+    def test_reports_kind_state_timestamps(self):
         job = Job(spec=JobSpec(kind="explore", demo="didactic"))
         doc = job.to_dict()
         assert doc["kind"] == "explore"
         assert doc["state"] == "queued"
-        assert doc["attempts"] == 0
+        assert doc["started_at"] is None
+        assert "attempts" not in doc
         assert doc["demo"] == "didactic"
 
 

@@ -1,7 +1,7 @@
 """Robustness tests for the job manager.
 
 Every test injects a synthetic executor so the scheduler's behaviour —
-admission, timeouts, retries, cancellation, drain — is exercised without
+admission, timeouts, failures, cancellation, drain — is exercised without
 paying for real synthesis runs.
 """
 
@@ -10,13 +10,12 @@ import time
 
 import pytest
 
-from repro.core.flow import FlowError, TransientFlowError
+from repro.core.flow import FlowError
 from repro.server import (
     JobManager,
     JobSpec,
     JobState,
     QueueFull,
-    RetryPolicy,
     ShuttingDown,
     UnknownJob,
 )
@@ -64,18 +63,13 @@ class Gate:
         return ok_outcome()
 
 
-@pytest.fixture()
-def fast_retry():
-    return RetryPolicy(max_retries=2, base_delay_s=0.01, jitter=0.0)
-
-
 class TestHappyPath:
     def test_submit_runs_to_done(self):
         manager = JobManager(workers=1, executor=instant_executor).start()
         try:
             job = manager.submit(spec())
             assert wait_for(lambda: job.state is JobState.DONE)
-            assert job.attempts == 1
+            assert job.started_at is not None
             assert job.outcome.artifact_name == "crane.mdl"
             assert job.finished_at is not None
             counters = manager.metrics.to_dict()["counters"]
@@ -206,68 +200,25 @@ class TestTimeout:
             manager.shutdown()
 
 
-class TestRetries:
-    def test_transient_failure_retried_until_success(self, fast_retry):
+class TestFailures:
+    @pytest.mark.parametrize(
+        "error", [FlowError, OSError, MemoryError], ids=lambda e: e.__name__
+    )
+    def test_any_error_fails_once(self, error):
         calls = []
 
-        def flaky(job_spec, *, cancelled=None):
-            calls.append(time.time())
-            if len(calls) < 3:
-                raise TransientFlowError("worker crashed")
-            return ok_outcome()
-
-        manager = JobManager(
-            workers=1, retry=fast_retry, executor=flaky
-        ).start()
-        try:
-            job = manager.submit(spec())
-            assert wait_for(lambda: job.state is JobState.DONE)
-            assert job.attempts == 3
-            counters = manager.metrics.to_dict()["counters"]
-            assert counters["server.jobs.retried"] == 2
-            assert counters["server.jobs.done"] == 1
-            # not_before enforces at least the backoff delay between
-            # attempts: 0.01s before the first retry, 0.02s before the
-            # second (doubling, jitter disabled).
-            assert calls[1] - calls[0] >= 0.01
-            assert calls[2] - calls[1] >= 0.02
-
-        finally:
-            manager.shutdown()
-
-    def test_retries_exhausted_fails(self, fast_retry):
-        def always_transient(job_spec, *, cancelled=None):
-            raise TransientFlowError("still broken")
-
-        manager = JobManager(
-            workers=1, retry=fast_retry, executor=always_transient
-        ).start()
-        try:
-            job = manager.submit(spec())
-            assert wait_for(lambda: job.state is JobState.FAILED)
-            assert job.attempts == 3  # 1 original + max_retries
-            assert "TransientFlowError" in job.error
-        finally:
-            manager.shutdown()
-
-    def test_deterministic_flow_error_never_retried(self, fast_retry):
-        calls = []
-
-        def deterministic(job_spec, *, cancelled=None):
+        def broken(job_spec, *, cancelled=None):
             calls.append(1)
-            raise FlowError("model is invalid")
+            raise error("model is invalid")
 
-        manager = JobManager(
-            workers=1, retry=fast_retry, executor=deterministic
-        ).start()
+        manager = JobManager(workers=1, executor=broken).start()
         try:
             job = manager.submit(spec())
             assert wait_for(lambda: job.state is JobState.FAILED)
-            assert job.attempts == 1
             assert len(calls) == 1
-            assert "FlowError: model is invalid" in job.error
+            assert job.error == f"{error.__name__}: model is invalid"
             counters = manager.metrics.to_dict()["counters"]
-            assert "server.jobs.retried" not in counters
+            assert counters["server.jobs.failed"] == 1
         finally:
             manager.shutdown()
 
@@ -285,7 +236,7 @@ class TestCancellation:
             gate.release.set()
             # The cancelled job never runs.
             time.sleep(0.1)
-            assert queued.attempts == 0
+            assert queued.started_at is None
         finally:
             gate.release.set()
             manager.shutdown()

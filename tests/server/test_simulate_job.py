@@ -80,6 +80,31 @@ class TestExecutorValidation:
         with pytest.raises(FlowError, match="monitor"):
             execute(spec)
 
+    @pytest.mark.parametrize(
+        "stimulus",
+        [
+            {"In1": "abc"},
+            {"In1": [1, "x"]},
+            {"In1": [True, 0.5]},
+            {"In1": 1.0},
+            {"In1": [float("nan")]},
+        ],
+        ids=["string", "string-sample", "bool-sample", "scalar", "nan"],
+    )
+    def test_non_numeric_stimulus_rejected(self, stimulus):
+        spec = JobSpec(
+            kind="simulate", demo="crane", options={"stimuli": [stimulus]}
+        )
+        with pytest.raises(FlowError, match="stimulus 'In1'"):
+            execute(spec)
+
+    def test_unknown_monitor_path_is_flow_error(self):
+        spec = JobSpec(
+            kind="simulate", demo="crane", options={"monitor": ["nope/x"]}
+        )
+        with pytest.raises(FlowError, match="no block named .nope."):
+            execute(spec)
+
 
 class TestSimulateDifferential:
     def test_served_episodes_match_library_run_many(self):

@@ -11,8 +11,8 @@ Format conformance — Perfetto loadability — and optionally the metrics
 snapshot (``--metrics-out`` output) for the registry schema and the
 documented synthesis keys.  ``--tree`` additionally requires the trace's
 spans to form a single rooted tree: every ``args.parent_id`` must resolve
-to another event in the document (no orphan roots from worker threads or
-retries).  ``--slo`` validates a ``GET /slo`` / ``repro slo-report
+to another event in the document (no orphan roots from worker
+threads).  ``--slo`` validates a ``GET /slo`` / ``repro slo-report
 --json`` document.  Exits non-zero with a message on the first
 violation; CI's smoke jobs run this after real ``repro`` invocations.
 """
@@ -91,7 +91,7 @@ def validate_span_tree(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless the trace's spans form one rooted tree.
 
     Every complete event's ``args.parent_id`` must name another complete
-    event in the same document (a worker/retry span whose parent was
+    event in the same document (a worker span whose parent was
     never exported is an *orphan root* — the stitching bug this guards
     against), and exactly one span may be parentless.
     """
