@@ -19,19 +19,26 @@ Endpoints (all JSON unless noted):
                           (``200`` while within budget, ``503`` on breach)
 ========================  =====================================================
 
-Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
-beyond the standard library, matching the repo's constraint.  Request
-handling is thread-per-connection; all shared state lives in the
-(locked) :class:`~repro.server.manager.JobManager`.
+Built on :class:`http.server.HTTPServer` — no dependencies beyond the
+standard library, matching the repo's constraint.  The listener thread
+accepts connections and queues them; a fixed set of
+:data:`HANDLER_THREADS` long-lived threads, started with the server,
+reads each request and writes its response, one connection at a time per
+thread.  No thread is started per connection.  Each connection has a
+:attr:`_Handler.timeout`, so a client that stalls holds a handler thread
+for at most that long.  All shared state lives in the (locked)
+:class:`~repro.server.manager.JobManager`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Optional, Tuple
 from urllib.parse import quote
 
@@ -42,6 +49,11 @@ log = logging.getLogger(__name__)
 
 #: Largest request body accepted (a generous bound for inline XMI).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Long-lived threads that serve accepted connections.  Two, so that one
+#: stalled client cannot block every other request; a thread per
+#: connection costs a thread start per request and has no bound.
+HANDLER_THREADS = 2
 
 
 def _content_disposition(name: str) -> str:
@@ -60,18 +72,75 @@ def _content_disposition(name: str) -> str:
     )
 
 
-class JobServer(ThreadingHTTPServer):
-    """HTTP server bound to one :class:`JobManager`."""
+class JobServer(HTTPServer):
+    """HTTP server bound to one :class:`JobManager`.
 
-    daemon_threads = True
+    Starts its :data:`HANDLER_THREADS` handler threads on construction;
+    :meth:`server_close` stops and joins them.
+    """
 
     def __init__(self, address: Tuple[str, int], manager: JobManager) -> None:
         super().__init__(address, _Handler)
         self.manager = manager
+        # ``None`` tells one handler thread to exit.
+        self._accepted: queue.SimpleQueue[Optional[Tuple[Any, Any]]] = (
+            queue.SimpleQueue()
+        )
+        self._handlers = [
+            threading.Thread(
+                target=self._handle_accepted,
+                name=f"repro-server-http-{index}",
+                daemon=True,
+            )
+            for index in range(HANDLER_THREADS)
+        ]
+        for thread in self._handlers:
+            thread.start()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Queue an accepted connection for the next free handler thread."""
+        self._accepted.put((request, client_address))
+
+    def _handle_accepted(self) -> None:
+        while (item := self._accepted.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and the connections no thread has started.
+
+        Requests in flight may finish; the handler threads are joined
+        for at most one :attr:`_Handler.timeout` in all, so stalled
+        clients cannot hold up shutdown (a thread still serving one is a
+        daemon thread).
+        """
+        super().server_close()
+        while True:
+            try:
+                item = self._accepted.get_nowait()
+            except queue.Empty:
+                break
+            if item is not None:
+                self.shutdown_request(item[0])
+        for _ in self._handlers:
+            self._accepted.put(None)
+        deadline = time.monotonic() + _Handler.timeout
+        for thread in self._handlers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class _Handler(BaseHTTPRequestHandler):
     server: JobServer  # narrowed for type checkers
+
+    #: Seconds a connection may wait on one socket read or write.  On
+    #: expiry ``handle_one_request`` drops the connection, which frees
+    #: the handler thread of a client that stalls mid-request.
+    timeout = 10.0
 
     # Keep the default wall-of-text access log out of stdout; route
     # through stdlib logging so ``repro -v serve`` shows it.

@@ -28,6 +28,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional
 
+from ..simulink.ecore import _ATTR_FORBIDDEN
 from ..simulink.simulator import ENGINES
 
 
@@ -162,6 +163,15 @@ class JobSpec:
                 raise SpecError(
                     f"'{name}' must be a string, not {type(value).__name__}"
                 )
+        # A lone surrogate survives JSON (``"\ud800"``) but not the
+        # UTF-8 encoding every flow applies to the document.
+        if self.model_xmi is not None:
+            try:
+                self.model_xmi.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SpecError(
+                    f"'model_xmi' is not UTF-8 text: {exc}"
+                ) from None
         if bool(self.demo) == bool(self.model_xmi):
             raise SpecError(
                 "a job needs exactly one model source: 'demo' or 'model_xmi'"
@@ -192,6 +202,11 @@ class JobSpec:
         if name is not None and not (isinstance(name, str) and name):
             raise SpecError(
                 f"'name' must be null or a non-empty string, not {name!r}"
+            )
+        forbidden = name and _ATTR_FORBIDDEN.search(name)
+        if forbidden:
+            raise SpecError(
+                f"'name' holds {forbidden.group()!r}, which XML 1.0 forbids"
             )
         if self.kind == "explore":
             _check_explore_options(self.options)

@@ -26,6 +26,8 @@ class ActivityError(UmlError):
 
 
 class ActivityNodeKind(enum.Enum):
+    """Kinds of activity nodes (UML subset)."""
+
     INITIAL = "initial"
     FINAL = "final"
     ACTION = "action"

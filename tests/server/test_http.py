@@ -7,7 +7,9 @@ deterministic.
 
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -15,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.server import JobManager, JobState, make_server
-from repro.server.http import MAX_BODY_BYTES
+from repro.server.http import HANDLER_THREADS, MAX_BODY_BYTES, _Handler
 
 from .test_manager import Gate, instant_executor, wait_for
 
@@ -177,6 +179,13 @@ class TestErrorStatuses:
             ),
             ({**CRANE_SPEC, "options": {"name": 5}}, "'name' must be"),
             ({**CRANE_SPEC, "options": {"name": ""}}, "'name' must be"),
+            ({**CRANE_SPEC, "options": {"name": "a\ud800"}}, "XML 1.0"),
+            ({**CRANE_SPEC, "options": {"name": "a\x0b"}}, "XML 1.0"),
+            ({**CRANE_SPEC, "options": {"name": "a\ufffe"}}, "XML 1.0"),
+            (
+                {"kind": "analyze", "model_xmi": "<xmi>\ud800</xmi>"},
+                "'model_xmi' is not UTF-8 text",
+            ),
         ],
         ids=[
             "unknown-kind",
@@ -190,6 +199,10 @@ class TestErrorStatuses:
             "simulate-engine-unknown",
             "name-int",
             "name-empty",
+            "name-lone-surrogate",
+            "name-vertical-tab",
+            "name-noncharacter",
+            "model_xmi-lone-surrogate",
         ],
     )
     def test_bad_spec_is_400(self, served, spec, message):
@@ -311,6 +324,159 @@ class TestErrorStatuses:
         )
         assert status == 503
         assert "shutting down" in doc["error"]
+
+
+def _handler_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-server-http-")
+    ]
+
+
+class TestHandlerPool:
+    """A fixed set of handler threads serves every connection."""
+
+    def test_requests_start_no_thread(self, served, monkeypatch):
+        base, _ = served
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(20):
+            assert request("GET", f"{base}/healthz")[0] == 200
+        assert started == []
+
+    def test_server_close_joins_handler_threads(self):
+        served = _serve(JobManager(workers=1, executor=instant_executor))
+        base, _ = next(served)
+        try:
+            assert len(_handler_threads()) == HANDLER_THREADS
+            assert request("GET", f"{base}/healthz")[0] == 200
+        finally:
+            next(served, None)
+        assert _handler_threads() == []
+
+    @staticmethod
+    def _listening(manager):
+        """(server, address, stop) with the listener running."""
+        manager.start()
+        server = make_server(manager, port=0)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+
+        def stop():
+            server.shutdown()
+            listener.join(timeout=2.0)
+
+        return server, server.server_address[:2], stop
+
+    def test_server_close_drops_queued_connections(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        manager = JobManager(workers=1, executor=instant_executor)
+        server, address, stop = self._listening(manager)
+        clients = []
+        try:
+            # Two stalls hold both handler threads; ten wait in the queue.
+            # One connect at a time stays inside the listen backlog.
+            for queued in range(-1, 11):
+                clients.append(socket.create_connection(address, timeout=5.0))
+                assert wait_for(
+                    lambda: server._accepted.qsize() == max(queued, 0)
+                )
+            stop()
+            started = time.monotonic()
+            server.server_close()
+            elapsed = time.monotonic() - started
+            # Serving the queued stalls in turn would take five timeouts.
+            assert elapsed < 2.5 * _Handler.timeout
+            assert all(client.recv(1) == b"" for client in clients)
+            # The two stalls end at their own timeouts, near the deadline.
+            assert wait_for(lambda: _handler_threads() == [])
+        finally:
+            for client in clients:
+                client.close()
+            manager.shutdown()
+
+    def test_server_close_does_not_wait_for_trickling_clients(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        manager = JobManager(workers=1, executor=instant_executor)
+        server, address, stop = self._listening(manager)
+        done = threading.Event()
+        clients = [
+            socket.create_connection(address, timeout=5.0) for _ in range(3)
+        ]
+
+        def trickle(client):
+            # A byte every 0.1 s keeps each read inside the timeout; the
+            # trickle ends by itself after 4 s.
+            try:
+                for _ in range(40):
+                    if done.wait(0.1):
+                        break
+                    client.sendall(b"G")
+            except OSError:
+                pass
+
+        tricklers = [
+            threading.Thread(target=trickle, args=(client,), daemon=True)
+            for client in clients[:2]
+        ]
+        for thread in tricklers:
+            thread.start()
+        try:
+            assert wait_for(lambda: server._accepted.qsize() == 1)
+            stop()
+            started = time.monotonic()
+            server.server_close()
+            elapsed = time.monotonic() - started
+            assert elapsed < 2 * _Handler.timeout
+            assert len(_handler_threads()) == HANDLER_THREADS
+        finally:
+            done.set()
+            for thread in tricklers:
+                thread.join(timeout=2.0)
+            for client in clients:
+                client.close()
+            manager.shutdown()
+        # Once the trickle stops, each read times out and the threads end.
+        assert wait_for(lambda: _handler_threads() == [])
+
+    @pytest.mark.parametrize(
+        "sent",
+        [b"", b'POST /jobs HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"kind"'],
+        ids=["idle", "short-body"],
+    )
+    def test_stalled_connection_is_dropped(self, served, monkeypatch, sent):
+        assert 0 < _Handler.timeout <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        base, manager = served
+        host, port = base[len("http://"):].split(":")
+        address = (host, int(port))
+        with socket.create_connection(address, timeout=5.0) as stalled:
+            stalled.sendall(sent)
+            assert request("GET", f"{base}/healthz")[0] == 200
+            # The server closes without a response; without its own
+            # timeout this recv would wait for the client's 5 s one.
+            assert stalled.recv(1) == b""
+        assert manager.jobs() == []
+
+    def test_one_stalled_client_delays_nobody(self, served):
+        base, _ = served
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=5.0):
+            conn = http.client.HTTPConnection(host, int(port), timeout=2.0)
+            try:
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
 
 
 class TestCancelEndpoint:

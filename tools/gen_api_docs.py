@@ -4,6 +4,7 @@
 Run from the repository root:  python tools/gen_api_docs.py
 """
 
+import enum
 import importlib
 import inspect
 import os
@@ -18,7 +19,12 @@ def _first_paragraph(doc):
     return doc.strip().split("\n\n")[0].replace("\n", " ")
 
 
-def main() -> None:
+def _is_enum(member):
+    return inspect.isclass(member) and issubclass(member, enum.Enum)
+
+
+def render() -> str:
+    """The text of docs/api.md for the installed ``repro`` package."""
     lines = [
         "# API Reference",
         "",
@@ -55,7 +61,9 @@ def main() -> None:
             kind = "class" if inspect.isclass(member) else "def"
             try:
                 signature = str(inspect.signature(member))
-                if len(signature) > 70:
+                # The Enum constructor's signature is not repo API, and
+                # it differs between Python versions.
+                if len(signature) > 70 or _is_enum(member):
                     signature = "(...)"
             except (ValueError, TypeError):
                 signature = "(...)"
@@ -66,9 +74,13 @@ def main() -> None:
             lines.append(f"- **`{kind} {member_name}{signature}`** — {doc}")
         if members:
             lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
     target = os.path.join(os.path.dirname(__file__), "..", "docs", "api.md")
     with open(target, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(render())
     print(f"wrote {os.path.normpath(target)}")
 
 
