@@ -16,6 +16,14 @@ tool exports) and drives every stage of the flow:
     repro simulate crane.mdl --steps 10 --input In1=1,2,3
     repro serve --port 8321 --workers 2 --queue-depth 16
 
+``synthesize``, ``analyze``, ``explore`` and ``codegen --backend sdf``
+take the server's job path: each reads the XMI file into a
+:class:`repro.server.JobSpec` (its options are the flags given), admits
+it with ``JobSpec.validate()`` and gets the library result from
+:mod:`repro.server.executor`.  This module only renders that result, so
+a file it writes is byte-identical to what a server job with the same
+spec returns.
+
 ``repro serve`` runs the batch synthesis service of :mod:`repro.server`
 (JSON over HTTP: ``POST /jobs``, ``GET /jobs/<id>``, ``GET
 /jobs/<id>/artifact``, ``GET /healthz``, ``GET /metrics``) until SIGTERM
@@ -64,7 +72,9 @@ budget, and burn rate per objective, exiting 1 when any target is in
 breach.
 
 Every command returns a non-zero exit status on failure, making the CLI
-usable from build scripts.
+usable from build scripts: 2 for a usage error (a bad argument, a missing
+file, a spec that ``JobSpec.validate()`` refuses with ``SpecError``, which
+the server answers with HTTP 400) and 1 when the flow fails.
 """
 
 from __future__ import annotations
@@ -81,12 +91,49 @@ class CliError(Exception):
     """Raised for user-facing CLI failures (bad input, bad arguments)."""
 
 
-def _load_model(path: str):
-    from .uml.xmi import read_xmi
+def _write(path: str, text: str, *, size: bool = False) -> None:
+    """Write ``text`` to ``path`` and print the ``wrote`` line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote {path} ({len(text)} bytes)" if size else f"wrote {path}")
 
+
+def _read_xmi_text(path: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"no such file: {path}")
-    return read_xmi(path)
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _load_model(path: str):
+    from .uml.xmi import from_xmi_string
+
+    return from_xmi_string(_read_xmi_text(path))
+
+
+def _job(kind: str, path: str, args: argparse.Namespace):
+    """The admitted job spec for the XMI file at ``path``.
+
+    A command's option flags are named after the spec options and have
+    no default (``argparse.SUPPRESS``), so the spec holds only the flags
+    given: it (and its synthesis-cache key) is what a server client
+    would send.
+    """
+    from .server.jobs import KIND_OPTIONS, JobSpec
+
+    options = {
+        name: value
+        for name, value in vars(args).items()
+        if name in KIND_OPTIONS[kind]
+    }
+    return JobSpec(
+        kind=kind, model_xmi=_read_xmi_text(path), options=options
+    ).validate()
+
+
+def _names(text: str) -> List[str]:
+    """argparse type for a comma-separated list (``--passes A,B``)."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +142,14 @@ def _load_model(path: str):
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from .apps import crane, didactic, mjpeg, synthetic
+    from .apps import DEMOS
     from .uml.xmi import write_xmi
 
-    factories = {
-        "didactic": didactic.build_model,
-        "crane": crane.build_model,
-        "synthetic": synthetic.build_model,
-        "mjpeg": mjpeg.build_model,
-    }
     try:
-        model = factories[args.name]()
+        model = DEMOS[args.name]()
     except KeyError:
         raise CliError(
-            f"unknown demo {args.name!r}; pick one of {sorted(factories)}"
+            f"unknown demo {args.name!r}; pick one of {sorted(DEMOS)}"
         ) from None
     write_xmi(model, args.output)
     print(f"wrote {args.output} ({os.path.getsize(args.output)} bytes)")
@@ -133,27 +174,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import analyze_synthesized, pass_names, to_sarif
+    from .analysis import to_sarif
+    from .server.executor import run_analyze
 
-    selected = None
-    if args.passes:
-        selected = [part.strip() for part in args.passes.split(",") if part.strip()]
-        unknown = [name for name in selected if name not in pass_names()]
-        if unknown:
-            raise CliError(
-                f"unknown analysis pass(es) {', '.join(map(repr, unknown))}; "
-                f"registered: {', '.join(pass_names())}"
-            )
     reports = []
     for path in args.models:
-        model = _load_model(path)
-        report = analyze_synthesized(
-            model,
-            subject=getattr(model, "name", path),
-            passes=selected,
-            suppress=args.suppress,
-            require_deployment=args.require_deployment,
-        )
+        report = run_analyze(_job("analyze", path, args))
         # SARIF physical locations point back at the analyzed artifact.
         report.info.setdefault("uri", path)
         reports.append(report)
@@ -169,9 +195,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         payload = "\n".join(report.render_text() for report in reports)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"wrote {args.output}")
+        _write(args.output, payload + "\n")
         if args.format == "text":
             for report in reports:
                 totals = report.counts()
@@ -206,23 +230,12 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    from .core.flow import synthesize
+    from .server.executor import run_synthesize
 
-    model = _load_model(args.model)
-    result = synthesize(
-        model,
-        auto_allocate=args.auto_allocate,
-        infer_channels=not args.no_channels,
-        insert_barriers=not args.no_barriers,
-        strict=args.strict,
-        validate=not args.no_validate,
-    )
-    result.write_mdl(args.output)
-    print(f"wrote {args.output} ({len(result.mdl_text)} bytes)")
+    result = run_synthesize(_job("synthesize", args.model, args))
+    _write(args.output, result.mdl_text, size=True)
     if args.intermediate:
-        with open(args.intermediate, "w", encoding="utf-8") as handle:
-            handle.write(result.intermediate_xml)
-        print(f"wrote {args.intermediate}")
+        _write(args.intermediate, result.intermediate_xml)
     if args.summary:
         print(result.summary)
         if result.barriers_inserted:
@@ -239,9 +252,10 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
     if args.backend == "sdf":
         return _cmd_codegen_sdf(args)
-    languages = args.lang or ["c"]
+    languages = getattr(args, "languages", ["c"])
+    auto_allocate = getattr(args, "auto_allocate", False)
     factories = {
-        "simulink": lambda: [SimulinkBackend(auto_allocate=args.auto_allocate)],
+        "simulink": lambda: [SimulinkBackend(auto_allocate=auto_allocate)],
         "java": lambda: [JavaBackend()],
         "fsm": lambda: [FsmBackend(language) for language in languages],
     }
@@ -261,42 +275,23 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
         raise CliError(f"codegen failed: {exc}") from exc
     os.makedirs(args.output, exist_ok=True)
     for filename, content in artifacts.items():
-        path = os.path.join(args.output, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        print(f"wrote {path} ({len(content)} bytes)")
+        _write(os.path.join(args.output, filename), content, size=True)
     return 0
 
 
 def _cmd_codegen_sdf(args: argparse.Namespace) -> int:
     """The static-schedule backend: scheduled sources plus manifest."""
-    from .codegen import CodegenError, generate
-    from .core.flow import FlowError, synthesize
+    from .server.executor import run_codegen
 
-    languages = tuple(args.lang) if args.lang else ("c",)
-    model = _load_model(args.model)
-    try:
-        result = synthesize(model, auto_allocate=args.auto_allocate)
-        generated = generate(
-            result.caam,
-            languages=languages,
-            uml_trace=result.mapping.context.trace,
-        )
-    except (FlowError, CodegenError) as exc:
-        raise CliError(f"codegen failed: {exc}") from exc
+    generated = run_codegen(_job("codegen", args.model, args))
     os.makedirs(args.output, exist_ok=True)
-    for language in languages:
-        for filename, content in generated.artifacts[language].items():
-            path = os.path.join(args.output, filename)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(content)
-            print(f"wrote {path} ({len(content)} bytes)")
+    for sources in generated.artifacts.values():
+        for filename, content in sources.items():
+            _write(os.path.join(args.output, filename), content, size=True)
     manifest_path = args.trace_manifest or os.path.join(
         args.output, "trace_manifest.json"
     )
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        handle.write(generated.manifest_text)
-    print(f"wrote {manifest_path} ({len(generated.manifest_text)} bytes)")
+    _write(manifest_path, generated.manifest_text, size=True)
     stats = generated.schedule.stats()
     print(
         f"schedule: {stats['pes']} PE(s), {stats['blocks']} block(s), "
@@ -334,27 +329,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return 1
     os.makedirs(args.output, exist_ok=True)
     for filename, content in artifacts.items():
-        path = os.path.join(args.output, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        print(f"wrote {path}")
+        _write(os.path.join(args.output, filename), content)
     return 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .core.taskgraph import task_graph_from_model
-    from .dse.explore import ExplorationError, explore, pareto_front
+    from .server.executor import run_explore
 
-    model = _load_model(args.model)
-    graph = task_graph_from_model(model)
-    try:
-        candidates = explore(
-            graph,
-            max_cpus=args.max_cpus,
-            objective=args.objective,
-        )
-    except ExplorationError as exc:
-        raise CliError(f"explore failed: {exc}") from exc
+    found = run_explore(_job("explore", args.model, args))
     # Report cost through the metrics layer so this line and a
     # --metrics-out file can never disagree.
     metrics = obs.get().metrics
@@ -365,9 +347,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             f" in {evaluate.total * 1e3:.1f} ms"
             f" ({evaluate.mean * 1e6:.0f} us/candidate)"
         )
-    print(f"evaluated {len(candidates)} candidate allocation(s){cost}")
-    print(f"Pareto front ({args.objective} vs CPU count):")
-    for candidate in pareto_front(candidates, objective=args.objective):
+    print(f"evaluated {len(found.candidates)} candidate allocation(s){cost}")
+    print(f"Pareto front ({found.objective} vs CPU count):")
+    for candidate in found.front:
         print(f"  {candidate}")
     return 0
 
@@ -428,9 +410,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f" ({rate:.0f} steps/s)"
         )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(trace.to_csv())
-        print(f"wrote {args.csv}")
+        _write(args.csv, trace.to_csv())
         return 0
     for name, samples in trace.outputs.items():
         print(f"{name}: {', '.join(f'{s:g}' for s in samples)}")
@@ -653,6 +633,8 @@ def _cmd_zoo_run(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Assemble the argparse command tree."""
+    from .apps import DEMOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -709,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("demo", help="export a case-study model as XMI")
-    p.add_argument("name", help="didactic | crane | synthetic | mjpeg")
+    p.add_argument("name", help=" | ".join(DEMOS))
     p.add_argument("output", help="XMI file to write")
     p.set_defaults(handler=_cmd_demo)
 
@@ -750,21 +732,25 @@ def build_parser() -> argparse.ArgumentParser:
         default="error",
         help="exit 1 when any finding at/above this severity remains",
     )
+    # Job options: named as in the spec, unset unless given (see _job).
     p.add_argument(
         "--suppress",
         action="append",
-        default=[],
+        default=argparse.SUPPRESS,
         metavar="CODE",
         help="suppress a code (RA203), family (RA2xx) or prefix (RA2*); repeatable",
     )
     p.add_argument(
         "--passes",
+        type=_names,
+        default=argparse.SUPPRESS,
         metavar="A,B,...",
         help="run only these passes (default: all registered, in order)",
     )
     p.add_argument(
         "--require-deployment",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="also require every thread to be deployed (RA106)",
     )
     p.set_defaults(handler=_cmd_analyze)
@@ -779,22 +765,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--intermediate", help="also write the step-2 E-core XML here"
     )
+    # Job options: named as in the spec, unset unless given (see _job).
     p.add_argument(
         "--auto-allocate",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="ignore the deployment diagram; cluster automatically (§4.2.3)",
     )
     p.add_argument(
-        "--no-channels", action="store_true", help="skip §4.2.1 inference"
+        "--no-channels",
+        dest="infer_channels",
+        action="store_false",
+        default=argparse.SUPPRESS,
+        help="skip §4.2.1 inference",
     )
     p.add_argument(
-        "--no-barriers", action="store_true", help="skip §4.2.2 barriers"
+        "--no-barriers",
+        dest="insert_barriers",
+        action="store_false",
+        default=argparse.SUPPRESS,
+        help="skip §4.2.2 barriers",
     )
     p.add_argument(
-        "--no-validate", action="store_true", help="skip UML validation"
+        "--no-validate",
+        dest="validate",
+        action="store_false",
+        default=argparse.SUPPRESS,
+        help="skip UML validation",
     )
     p.add_argument(
-        "--strict", action="store_true", help="treat inference warnings as errors"
+        "--strict",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="treat inference warnings as errors",
     )
     p.add_argument(
         "--summary", action="store_true", help="print the CAAM census"
@@ -810,14 +813,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lang",
+        dest="languages",
         action="append",
         choices=("c", "java"),
+        default=argparse.SUPPRESS,
         help="fsm and sdf back-ends: target language; repeat for both "
         "(default: c)",
     )
     p.add_argument(
         "--auto-allocate",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="simulink and sdf back-ends: ignore the deployment diagram "
         "and cluster threads onto CPUs automatically (§4.2.3)",
     )
@@ -845,7 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="design-space exploration")
     p.add_argument("model", help="XMI input file")
-    p.add_argument("--max-cpus", type=int, help="CPU budget")
+    p.add_argument(
+        "--max-cpus", type=int, default=argparse.SUPPRESS, help="CPU budget"
+    )
     p.add_argument(
         "--objective",
         default="latency",
@@ -1070,6 +1078,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     and ``--metrics-out`` persist what it captured.
     """
     from .parallel import cache as parallel_cache
+    from .server.jobs import SpecError
 
     parser = build_parser()
     try:
@@ -1106,7 +1115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with recorder.span("cli." + args.command, category="cli"):
                     status = args.handler(args)
-            except CliError as exc:
+            except (CliError, SpecError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 status = 2
             except KeyboardInterrupt:

@@ -1,29 +1,29 @@
 """Job execution: a :class:`~repro.server.jobs.JobSpec` in, an outcome out.
 
-This is the seam between the serving layer and the library: everything
-here calls the exact same front doors a library user would
-(:func:`repro.core.flow.synthesize`, :func:`repro.dse.explore.explore`),
-so an artifact produced through the server is byte-identical to one
-produced directly — the differential tests in ``tests/server/`` pin this
-down.  The synthesis cache engages exactly as it would for a library
-call (process-wide configuration, ``use_cache`` override per spec).
-Inline XMI goes through :func:`repro.core.flow.synthesize_xmi`, keyed on
-the text, so a cache hit skips the parse for every kind but ``analyze``
-(whose passes read the model) and ``explore`` (which is not cached).
+The one path from a job to a library result, for the server and for the
+CLI's model commands.  Each kind's public ``run_<kind>`` takes a spec
+that :meth:`JobSpec.validate` admitted, resolves its model, calls the
+same front doors a library user would (so artifacts are byte-identical
+to a direct call; ``tests/server/`` pins this), types the errors as
+:class:`~repro.core.flow.FlowError` and returns the library object.  The
+CLI renders that object; :func:`execute` encodes it as the served
+:class:`JobOutcome`.  Inline XMI is synthesized through
+:func:`repro.core.flow.synthesize_xmi`, keyed on the text, so a cache
+hit skips the parse for every kind but ``analyze`` (whose passes read
+the model) and ``explore`` (which is not cached).
 
 Cancellation is cooperative: the ``cancelled`` hook is checked between
-the coarse stages here — an explore job checks it before and after
-exploration, never inside it — and when it fires, :class:`JobCancelled`
-aborts the job.  A job that overruns its deadline mid-stage is still
-marked ``timed_out`` by the manager's monitor, which discards the late
-result.
+the coarse stages — never inside exploration or a simulation — and when
+it fires, :class:`JobCancelled` aborts the job.  A job that overruns its
+deadline mid-stage is marked ``timed_out`` by the manager's monitor,
+which discards the late result.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
 
 from ..core.flow import (
     FlowError,
@@ -35,6 +35,10 @@ from ..core.taskgraph import task_graph_from_model
 from ..uml.model import Model
 from ..uml.xmi import XmiError, from_xmi_string
 from .jobs import JobOutcome, JobSpec
+
+if TYPE_CHECKING:
+    from ..analysis import AnalysisReport
+    from ..codegen.backend import GenerationResult
 
 #: Optional hook polled at cancellation checkpoints.
 CancelHook = Optional[Callable[[], bool]]
@@ -56,19 +60,13 @@ def build_model(spec: JobSpec) -> Model:
     demo job and the equivalent library call share every byte of input.
     """
     if spec.demo:
-        from ..apps import crane, didactic, mjpeg, synthetic
+        from ..apps import DEMOS
 
-        factories = {
-            "didactic": didactic.build_model,
-            "crane": crane.build_model,
-            "synthetic": synthetic.build_model,
-            "mjpeg": mjpeg.build_model,
-        }
-        factory = factories.get(spec.demo)
+        factory = DEMOS.get(spec.demo)
         if factory is None:
             raise FlowError(
                 f"unknown demo model {spec.demo!r}; "
-                f"pick one of {sorted(factories)}"
+                f"pick one of {sorted(DEMOS)}"
             )
         return factory()
     try:
@@ -91,9 +89,19 @@ def _synthesized(spec: JobSpec, **options: Any) -> SynthesisResult:
         raise FlowError(f"cannot parse model_xmi: {exc}") from exc
 
 
-def _run_synthesize(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
-    result = _synthesized(spec, **spec.options)
-    _checkpoint(cancelled)
+def _synthesis_options(spec: JobSpec, *names: str) -> Dict[str, Any]:
+    """The spec's options among ``names`` (those synthesis takes)."""
+    return {name: spec.options[name] for name in names if name in spec.options}
+
+
+def run_synthesize(
+    spec: JobSpec, cancelled: CancelHook = None
+) -> SynthesisResult:
+    """Synthesize the spec's model with the spec's options."""
+    return _synthesized(spec, **spec.options)
+
+
+def _encode_synthesize(result: SynthesisResult) -> JobOutcome:
     payload: Dict[str, Any] = {
         "model": result.caam.name,
         "summary": str(result.summary),
@@ -112,14 +120,25 @@ def _run_synthesize(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     )
 
 
-def _run_explore(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
+class Exploration(NamedTuple):
+    """Every candidate allocation :func:`run_explore` rated, and the front."""
+
+    model: str
+    threads: int
+    objective: str
+    candidates: list
+    front: list
+
+
+def run_explore(spec: JobSpec, cancelled: CancelHook = None) -> Exploration:
+    """Explore the spec model's thread allocations; keep the Pareto front."""
     from ..dse.explore import ExplorationError, explore, pareto_front
 
     model = build_model(spec)
     _checkpoint(cancelled)
     graph = task_graph_from_model(model)
     _checkpoint(cancelled)
-    options = dict(spec.options)
+    options = spec.options
     objective = options.get("objective", "latency")
     try:
         candidates = explore(
@@ -131,19 +150,27 @@ def _run_explore(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         )
     except ExplorationError as exc:
         raise FlowError(str(exc)) from exc
-    _checkpoint(cancelled)
-    front = pareto_front(candidates, objective=objective)
+    return Exploration(
+        model=model.name,
+        threads=len(graph.node_weights),
+        objective=objective,
+        candidates=candidates,
+        front=pareto_front(candidates, objective=objective),
+    )
+
+
+def _encode_explore(found: Exploration) -> JobOutcome:
     front_doc = [
         {
             "cpus": candidate.cpu_count,
             "metric": candidate.metric,
-            "objective": objective,
+            "objective": found.objective,
             "plan": {
                 cpu: sorted(candidate.plan.threads_on(cpu))
                 for cpu in candidate.plan.cpus
             },
         }
-        for candidate in front
+        for candidate in found.front
     ]
     try:
         artifact = json.dumps(front_doc, indent=2, allow_nan=False)
@@ -152,13 +179,13 @@ def _run_explore(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
             f"cost estimate out of range ({exc}); lower 'cycles_per_unit'"
         ) from exc
     payload = {
-        "model": model.name,
-        "threads": len(graph.node_weights),
-        "candidates": len(candidates),
+        "model": found.model,
+        "threads": found.threads,
+        "candidates": len(found.candidates),
         "pareto": front_doc,
     }
     return JobOutcome(
-        artifact_name=f"{model.name}.pareto.json",
+        artifact_name=f"{found.model}.pareto.json",
         artifact_text=artifact + "\n",
         payload=payload,
     )
@@ -172,16 +199,25 @@ def _is_real(value: Any) -> bool:
         return False
 
 
-def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
+class Simulation(NamedTuple):
+    """What :func:`run_simulate` ran: one episode per stimulus."""
+
+    model: str
+    engine: str
+    steps: int
+    episodes: list
+
+
+def run_simulate(spec: JobSpec, cancelled: CancelHook = None) -> Simulation:
     """Synthesize, then execute the CAAM over a batch of stimuli.
 
     The batch goes through :meth:`Simulator.run_many`, so one compiled
     slot plan serves every episode; when NumPy is available (and neither
     the spec's ``engine`` option nor ``REPRO_SIM_ENGINE`` overrides it)
     the whole batch runs in one vectorized call on the ``batch`` engine,
-    whose output is bit-identical to the looped scalar path.  Results
-    are returned as a JSON artifact with one entry per stimulus
-    (outputs + monitored signals).
+    whose output is bit-identical to the looped scalar path.  The job's
+    artifact is a JSON document with one entry per stimulus (outputs +
+    monitored signals).
     """
     import os
 
@@ -189,7 +225,7 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     from ..simulink.model import SimulinkError
     from ..simulink.simulator import ENGINE_BATCH, Simulator
 
-    options = dict(spec.options)
+    options = spec.options
     steps = options.get("steps", 100)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
         raise FlowError("'steps' must be a non-negative integer")
@@ -216,10 +252,7 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
     ):
         raise FlowError("'monitor' must be a list of block paths")
 
-    synth_options = {
-        key: options[key] for key in ("use_cache",) if key in options
-    }
-    result = _synthesized(spec, **synth_options)
+    result = _synthesized(spec, **_synthesis_options(spec, "use_cache"))
     _checkpoint(cancelled)
     engine = options.get("engine")
     if (
@@ -233,73 +266,60 @@ def _run_simulate(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         episodes = simulator.run_many(steps, stimuli)
     except SimulinkError as exc:  # a bad monitor path, an algebraic loop
         raise FlowError(str(exc)) from exc
-    _checkpoint(cancelled)
+    return Simulation(
+        model=result.caam.name,
+        engine=simulator.engine,
+        steps=steps,
+        episodes=episodes,
+    )
+
+
+def _encode_simulate(sim: Simulation) -> JobOutcome:
     episodes_doc = [
         {"outputs": episode.outputs, "signals": episode.signals}
-        for episode in episodes
+        for episode in sim.episodes
     ]
     payload: Dict[str, Any] = {
-        "model": result.caam.name,
-        "engine": simulator.engine,
-        "steps": steps,
-        "episodes": len(episodes),
-        "outputs": sorted(episodes[0].outputs),
-        "signals": sorted(episodes[0].signals),
+        "model": sim.model,
+        "engine": sim.engine,
+        "steps": sim.steps,
+        "episodes": len(sim.episodes),
+        "outputs": sorted(sim.episodes[0].outputs),
+        "signals": sorted(sim.episodes[0].signals),
     }
     return JobOutcome(
-        artifact_name=f"{result.caam.name}.sim.json",
+        artifact_name=f"{sim.model}.sim.json",
         artifact_text=json.dumps(episodes_doc, indent=2) + "\n",
         payload=payload,
     )
 
 
-def _run_analyze(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
-    """Synthesize, run every analysis pass, return the SARIF artifact.
+def run_analyze(
+    spec: JobSpec, cancelled: CancelHook = None
+) -> AnalysisReport:
+    """Synthesize, then run the analysis passes over the spec's model.
 
-    The inline payload carries the counts/codes summary plus the SDF
-    structured results; the full SARIF 2.1.0 log is the artifact, so a
-    client can feed it straight to a code-scanning upload.
+    The job's inline payload carries the counts/codes summary plus the
+    SDF structured results; the full SARIF 2.1.0 log is the artifact, so
+    a client can feed it straight to a code-scanning upload.
     """
-    from ..analysis import AnalysisError, analyze_synthesized, pass_names
+    from ..analysis import analyze_synthesized
 
     model = build_model(spec)
     _checkpoint(cancelled)
-    options = dict(spec.options)
-    suppress = options.get("suppress", [])
-    if not isinstance(suppress, list) or not all(
-        isinstance(p, str) for p in suppress
-    ):
-        raise FlowError("'suppress' must be a list of code patterns")
-    passes = options.get("passes")
-    if passes is not None:
-        if not isinstance(passes, list) or not all(
-            isinstance(p, str) for p in passes
-        ):
-            raise FlowError("'passes' must be a list of pass names")
-        unknown = sorted(set(passes) - set(pass_names()))
-        if unknown:
-            raise FlowError(
-                f"unknown analysis pass(es) {', '.join(map(repr, unknown))}; "
-                f"registered: {', '.join(pass_names())}"
-            )
-    synth_options = {
-        key: options[key] for key in ("use_cache",) if key in options
-    }
-    synth_options["validate"] = False
-    try:
-        report = analyze_synthesized(
-            model,
-            passes=passes,
-            suppress=suppress,
-            require_deployment=bool(options.get("require_deployment", False)),
-            synthesize_options=synth_options,
-            xmi=spec.model_xmi,
-        )
-    except AnalysisError as exc:
-        raise FlowError(str(exc)) from exc
-    _checkpoint(cancelled)
+    return analyze_synthesized(
+        model,
+        passes=spec.options.get("passes"),
+        suppress=spec.options.get("suppress", []),
+        require_deployment=spec.options.get("require_deployment", False),
+        synthesize_options=_synthesis_options(spec, "use_cache"),
+        xmi=spec.model_xmi,
+    )
+
+
+def _encode_analyze(report: AnalysisReport) -> JobOutcome:
     payload: Dict[str, Any] = {
-        "model": model.name,
+        "model": report.subject,
         "passes": list(report.passes),
         "counts": report.counts(),
         "codes": report.codes(),
@@ -308,58 +328,45 @@ def _run_analyze(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         "sdf": report.info.get("sdf", {}),
     }
     return JobOutcome(
-        artifact_name=f"{model.name}.sarif",
+        artifact_name=f"{report.subject}.sarif",
         artifact_text=json.dumps(report.to_sarif(), indent=2, sort_keys=True)
         + "\n",
         payload=payload,
     )
 
 
-def _run_codegen(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
+def run_codegen(
+    spec: JobSpec, cancelled: CancelHook = None
+) -> GenerationResult:
     """Synthesize, then run the static-schedule backend.
 
-    The artifact is the digital-thread trace manifest (the document an
+    The job's artifact is its digital-thread trace manifest (the document an
     auditor starts from); the generated sources travel inline in the
     result payload keyed by filename, each already hash-pinned by the
     manifest.
     """
     from ..codegen import CodegenError, generate
-    from ..codegen.backend import LANGUAGES
-    from ..codegen.trace import flatten_artifacts
 
-    options = dict(spec.options)
-    languages = options.get("languages", ["c"])
-    if (
-        not isinstance(languages, list)
-        or not languages
-        or not all(isinstance(lang, str) for lang in languages)
-    ):
-        raise FlowError("'languages' must be a non-empty list of strings")
-    unknown = sorted(set(languages) - set(LANGUAGES))
-    if unknown:
-        raise FlowError(
-            f"unknown codegen language(s) {', '.join(map(repr, unknown))}; "
-            f"valid languages are {', '.join(LANGUAGES)}"
-        )
-    synth_options = {
-        key: options[key]
-        for key in ("use_cache", "auto_allocate")
-        if key in options
-    }
-    result = _synthesized(spec, **synth_options)
+    result = _synthesized(
+        spec, **_synthesis_options(spec, "use_cache", "auto_allocate")
+    )
     _checkpoint(cancelled)
     try:
-        generated = generate(
+        return generate(
             result.caam,
-            languages=tuple(languages),
+            languages=tuple(spec.options.get("languages", ["c"])),
             uml_trace=result.mapping.context.trace,
         )
     except CodegenError as exc:
         raise FlowError(str(exc)) from exc
-    _checkpoint(cancelled)
+
+
+def _encode_codegen(generated: GenerationResult) -> JobOutcome:
+    from ..codegen.trace import flatten_artifacts
+
     stats = generated.schedule.stats()
     payload: Dict[str, Any] = {
-        "model": result.caam.name,
+        "model": generated.schedule.name,
         "languages": sorted(generated.artifacts),
         "schedule": {
             "pes": stats["pes"],
@@ -378,21 +385,26 @@ def _run_codegen(spec: JobSpec, cancelled: CancelHook) -> JobOutcome:
         ],
     }
     return JobOutcome(
-        artifact_name=f"{result.caam.name}.trace_manifest.json",
+        artifact_name=f"{generated.schedule.name}.trace_manifest.json",
         artifact_text=generated.manifest_text,
         payload=payload,
     )
 
 
+#: Job kind -> (run half, encode half).
+_KINDS = {
+    "synthesize": (run_synthesize, _encode_synthesize),
+    "explore": (run_explore, _encode_explore),
+    "simulate": (run_simulate, _encode_simulate),
+    "analyze": (run_analyze, _encode_analyze),
+    "codegen": (run_codegen, _encode_codegen),
+}
+
+
 def execute(spec: JobSpec, *, cancelled: CancelHook = None) -> JobOutcome:
     """Run one job spec to completion (the manager's default executor)."""
     _checkpoint(cancelled)
-    if spec.kind == "synthesize":
-        return _run_synthesize(spec, cancelled)
-    if spec.kind == "simulate":
-        return _run_simulate(spec, cancelled)
-    if spec.kind == "analyze":
-        return _run_analyze(spec, cancelled)
-    if spec.kind == "codegen":
-        return _run_codegen(spec, cancelled)
-    return _run_explore(spec, cancelled)
+    run, encode = _KINDS[spec.kind]
+    value = run(spec, cancelled)
+    _checkpoint(cancelled)
+    return encode(value)

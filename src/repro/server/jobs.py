@@ -123,6 +123,15 @@ ANALYZE_OPTIONS = frozenset(
 #: the result payload.
 CODEGEN_OPTIONS = frozenset({"languages", "auto_allocate", "use_cache"})
 
+#: Job kind -> the options a spec of that kind may carry.
+KIND_OPTIONS = {
+    "synthesize": SYNTHESIZE_OPTIONS,
+    "explore": EXPLORE_OPTIONS,
+    "simulate": SIMULATE_OPTIONS,
+    "analyze": ANALYZE_OPTIONS,
+    "codegen": CODEGEN_OPTIONS,
+}
+
 #: Options that are flags, whichever kind takes them.  Each must be a
 #: JSON boolean: ``"yes"`` or ``5`` would run as ``True``, but would key
 #: another synthesis-cache entry for the same result.
@@ -178,13 +187,7 @@ class JobSpec:
             )
         if not isinstance(self.options, dict):
             raise SpecError("'options' must be an object")
-        allowed = {
-            "synthesize": SYNTHESIZE_OPTIONS,
-            "explore": EXPLORE_OPTIONS,
-            "simulate": SIMULATE_OPTIONS,
-            "analyze": ANALYZE_OPTIONS,
-            "codegen": CODEGEN_OPTIONS,
-        }[self.kind]
+        allowed = KIND_OPTIONS[self.kind]
         unknown = sorted(set(self.options) - allowed)
         if unknown:
             raise SpecError(
@@ -210,6 +213,10 @@ class JobSpec:
             )
         if self.kind == "explore":
             _check_explore_options(self.options)
+        if self.kind == "analyze":
+            _check_analyze_options(self.options)
+        if self.kind == "codegen":
+            _check_codegen_options(self.options)
         engine = self.options.get("engine")
         if self.kind == "simulate" and engine not in (None, *ENGINES):
             raise SpecError(
@@ -292,6 +299,42 @@ def _check_explore_options(options: Dict[str, Any]) -> None:
     if not _finite_positive(unit):
         raise SpecError(
             f"'cycles_per_unit' must be a finite number > 0, not {unit!r}"
+        )
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_analyze_options(options: Dict[str, Any]) -> None:
+    """Reject suppress patterns and pass names the analyzer cannot take."""
+    from ..analysis import pass_names
+
+    if not _is_str_list(options.get("suppress", [])):
+        raise SpecError("'suppress' must be a list of code patterns")
+    passes = options.get("passes")
+    if passes is not None and not _is_str_list(passes):
+        raise SpecError("'passes' must be a list of pass names")
+    unknown = sorted(set(passes or ()) - set(pass_names()))
+    if unknown:
+        raise SpecError(
+            f"unknown analysis pass(es) {', '.join(map(repr, unknown))}; "
+            f"registered: {', '.join(pass_names())}"
+        )
+
+
+def _check_codegen_options(options: Dict[str, Any]) -> None:
+    """Reject a ``languages`` list the static-schedule backend cannot emit."""
+    from ..codegen.backend import LANGUAGES
+
+    languages = options.get("languages", ["c"])
+    if not (_is_str_list(languages) and languages):
+        raise SpecError("'languages' must be a non-empty list of strings")
+    unknown = sorted(set(languages) - set(LANGUAGES))
+    if unknown:
+        raise SpecError(
+            f"unknown codegen language(s) {', '.join(map(repr, unknown))}; "
+            f"valid languages are {', '.join(LANGUAGES)}"
         )
 
 

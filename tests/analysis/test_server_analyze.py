@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.flow import FlowError
 from repro.server import JobSpec, SpecError
 from repro.server.executor import execute
 from repro.server.jobs import ANALYZE_OPTIONS, KINDS
@@ -39,19 +38,21 @@ class TestSpecValidation:
 
 
 class TestExecutorValidation:
+    """The executor's option values are checked once, at admission."""
+
     def test_bad_suppress_type(self):
         spec = JobSpec(
             kind="analyze", demo="didactic", options={"suppress": "RA404"}
         )
-        with pytest.raises(FlowError, match="suppress"):
-            execute(spec)
+        with pytest.raises(SpecError, match="suppress"):
+            spec.validate()
 
     def test_unknown_pass_name(self):
         spec = JobSpec(
             kind="analyze", demo="didactic", options={"passes": ["nope"]}
         )
-        with pytest.raises(FlowError, match="unknown analysis pass"):
-            execute(spec)
+        with pytest.raises(SpecError, match="unknown analysis pass"):
+            spec.validate()
 
 
 class TestExecution:

@@ -63,19 +63,15 @@ class TestExecution:
         assert sorted(outcome.payload["sources"]) == ["crane.c", "crane.h"]
 
     def test_bad_languages_option_fails_cleanly(self):
-        from repro.core.flow import FlowError
+        from repro.server import SpecError
 
-        with pytest.raises(FlowError, match="unknown codegen language"):
-            execute(
-                JobSpec(
-                    kind="codegen",
-                    demo="crane",
-                    options={"languages": ["cobol"]},
-                )
-            )
-        with pytest.raises(FlowError, match="non-empty list"):
-            execute(
-                JobSpec(
-                    kind="codegen", demo="crane", options={"languages": []}
-                )
-            )
+        with pytest.raises(SpecError, match="unknown codegen language"):
+            JobSpec(
+                kind="codegen",
+                demo="crane",
+                options={"languages": ["cobol"]},
+            ).validate()
+        with pytest.raises(SpecError, match="non-empty list"):
+            JobSpec(
+                kind="codegen", demo="crane", options={"languages": []}
+            ).validate()

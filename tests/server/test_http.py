@@ -68,8 +68,9 @@ def request(method, url, payload=None):
             body = resp.read()
             status, headers = resp.status, dict(resp.headers)
     except urllib.error.HTTPError as exc:
-        body = exc.read()
-        status, headers = exc.code, dict(exc.headers)
+        with exc:
+            body = exc.read()
+            status, headers = exc.code, dict(exc.headers)
     if headers.get("Content-Type", "").startswith("application/json"):
         return status, headers, json.loads(body.decode("utf-8"))
     return status, headers, body.decode("utf-8")
@@ -244,14 +245,16 @@ class TestErrorStatuses:
         )
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10.0)
-        assert info.value.code == 400
+        with info.value:
+            assert info.value.code == 400
 
     def test_empty_body_is_400(self, served):
         base, _ = served
         req = urllib.request.Request(f"{base}/jobs", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10.0)
-        assert info.value.code == 400
+        with info.value:
+            assert info.value.code == 400
 
     @pytest.mark.parametrize(
         "length, status",

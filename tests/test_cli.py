@@ -282,7 +282,11 @@ class TestAllocateAndExplore:
 
     def test_explore_with_zero_budget_is_a_usage_error(self, crane_xmi, capsys):
         assert main(["explore", crane_xmi, "--max-cpus", "0"]) == 2
-        assert "max_cpus must be at least 1" in capsys.readouterr().err
+        # Checked at admission, like a server spec: the JobSpec's text.
+        assert (
+            "'max_cpus' must be null or an integer >= 1"
+            in capsys.readouterr().err
+        )
 
 
 class TestCsvAndPartition:
